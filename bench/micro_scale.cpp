@@ -22,11 +22,10 @@
 // largest point's value is a true per-point peak. The gated quick run has
 // exactly one point for this reason.
 //
-// --check-determinism re-runs the gated 100k point — sequential and then
-// threads 2, 4, 8, all under the adaptive lookahead floor and work-stealing
-// windows — and fails (exit 1) unless the metrics snapshot JSON and the
-// sampled span logs are byte-identical. It runs after the measured sweep
-// so it cannot disturb the recorded per-point peak RSS.
+// --check-determinism runs the gated 100k point twice more and fails
+// (exit 1) unless the metrics snapshot JSON and the sampled span logs are
+// byte-identical. It runs after the measured sweep so it cannot disturb
+// the recorded per-point peak RSS.
 //
 // Each point also records the zone-tree memory breakdown (materialized
 // zones, compressed-chain records, key indexes) separately from
@@ -70,7 +69,6 @@ struct PointResult {
   std::size_t nodes = 0;
   std::size_t subs_per_node = 0;
   std::size_t subs = 0;
-  unsigned threads = 1;
   bool legacy = false;
   double setup_seconds = 0.0;
   std::size_t peak_rss_bytes = 0;
@@ -95,12 +93,9 @@ struct PointResult {
 struct RunOpts {
   std::size_t events = 2000;
   double mean_interarrival_ms = 0.5;
-  double lookahead_ms = 5.0;
-  unsigned threads = 1;
   unsigned setup_threads = 1;
   bool legacy = false;     ///< simulated install cascade (pre-arena path)
   bool compress = true;    ///< path-compressed structural zone chains
-  bool adaptive = false;   ///< lookahead floor from min live link latency
   trace::Tracer* tracer = nullptr;
   double trace_sample_rate = 1.0;
 };
@@ -113,10 +108,7 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   tp.seed = 11;
   net::KingLikeTopology topo(tp);
   sim::Simulator sim;
-  sim.set_threads(o.threads);
-  sim.set_lookahead(o.lookahead_ms);
   net::Network net(sim, topo);
-  if (o.adaptive) net.enable_adaptive_lookahead();
   chord::ChordNet::Params cp;
   cp.seed = 11;
   chord::ChordNet chord(net, cp);
@@ -188,7 +180,6 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   r.nodes = nodes;
   r.subs_per_node = subs_per_node;
   r.subs = nodes * subs_per_node;
-  r.threads = o.threads;
   r.legacy = o.legacy;
   r.setup_seconds = secs_between(t0, t1);
   r.peak_rss_bytes = bench::peak_rss_bytes();
@@ -211,10 +202,10 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
 
 void print_point(const char* tag, const PointResult& r) {
   std::printf(
-      "[micro_scale] %s %zu nodes x %zu subs (%zu total, threads=%u, %s): "
+      "[micro_scale] %s %zu nodes x %zu subs (%zu total, %s): "
       "setup %.2f s, peak RSS %.1f MiB, %.0f events/sec, "
       "%llu deliveries, hash %016llx\n",
-      tag, r.nodes, r.subs_per_node, r.subs, r.threads,
+      tag, r.nodes, r.subs_per_node, r.subs,
       r.legacy ? "legacy" : "fast", r.setup_seconds,
       double(r.peak_rss_bytes) / (1024.0 * 1024.0), r.events_per_sec,
       (unsigned long long)r.deliveries, (unsigned long long)r.snapshot_hash);
@@ -232,76 +223,50 @@ void print_mem_breakdown(const PointResult& r) {
       double(r.zone_index_bytes) / mib, double(r.sub_bytes) / mib);
 }
 
-/// The scale-point leg of the parallel-determinism suite: the gated 100k
-/// point, sequential vs each of threads {2, 4, 8}, adaptive lookahead +
-/// work-stealing, byte-compared on the metrics snapshot JSON and the
-/// sampled span log.
+/// Same-seed determinism at scale: the gated 100k point run twice,
+/// byte-compared on the metrics snapshot JSON and the sampled span log.
 bool check_determinism_at_scale(std::size_t events, bool compress) {
   std::printf("[micro_scale] determinism check @ 100k subs"
-              " (adaptive lookahead, threads 1 vs {2,4,8}, compress=%s)...\n",
+              " (two runs, compress=%s)...\n",
               compress ? "on" : "off");
   RunOpts o;
   o.events = events;
-  o.lookahead_ms = 0.0;  // the adaptive floor is what admits parallelism
-  o.adaptive = true;
   o.compress = compress;
   o.trace_sample_rate = 0.05;
-  trace::Tracer seq_tracer;
-  o.threads = 1;
-  o.tracer = &seq_tracer;
-  const PointResult seq = run_point(2000, 50, o);
+  trace::Tracer tracer_a;
+  o.tracer = &tracer_a;
+  const PointResult a = run_point(2000, 50, o);
+  trace::Tracer tracer_b;
+  o.tracer = &tracer_b;
+  const PointResult b = run_point(2000, 50, o);
 
-  bool all_ok = true;
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    trace::Tracer par_tracer;
-    o.threads = threads;
-    o.tracer = &par_tracer;
-    const PointResult par = run_point(2000, 50, o);
-
-    bool ok = true;
-    if (seq.snapshot_json != par.snapshot_json) {
-      std::fprintf(stderr,
-                   "[micro_scale] FAIL @ threads=%u: snapshot JSON diverges"
-                   " (hash %016llx vs %016llx)\n",
-                   threads, (unsigned long long)seq.snapshot_hash,
-                   (unsigned long long)par.snapshot_hash);
-      ok = false;
-    }
-    if (seq.deliveries != par.deliveries) {
-      std::fprintf(stderr,
-                   "[micro_scale] FAIL @ threads=%u: deliveries %llu vs %llu\n",
-                   threads, (unsigned long long)seq.deliveries,
-                   (unsigned long long)par.deliveries);
-      ok = false;
-    }
-    const auto& a = seq_tracer.spans();
-    const auto& b = par_tracer.spans();
-    if (a.size() != b.size()) {
-      std::fprintf(stderr,
-                   "[micro_scale] FAIL @ threads=%u: span count %zu vs %zu\n",
-                   threads, a.size(), b.size());
-      ok = false;
-    } else {
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        if (!(a[i] == b[i])) {
-          std::fprintf(
-              stderr,
-              "[micro_scale] FAIL @ threads=%u: span log diverges at %zu\n",
-              threads, i);
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (ok) {
-      std::printf("[micro_scale] threads=%u byte-identical:"
-                  " %zu spans, %llu deliveries, hash %016llx\n",
-                  threads, a.size(), (unsigned long long)seq.deliveries,
-                  (unsigned long long)seq.snapshot_hash);
-    }
-    all_ok = all_ok && ok;
+  bool ok = true;
+  if (a.snapshot_json != b.snapshot_json) {
+    std::fprintf(stderr,
+                 "[micro_scale] FAIL: snapshot JSON diverges"
+                 " (hash %016llx vs %016llx)\n",
+                 (unsigned long long)a.snapshot_hash,
+                 (unsigned long long)b.snapshot_hash);
+    ok = false;
   }
-  return all_ok;
+  if (a.deliveries != b.deliveries) {
+    std::fprintf(stderr, "[micro_scale] FAIL: deliveries %llu vs %llu\n",
+                 (unsigned long long)a.deliveries,
+                 (unsigned long long)b.deliveries);
+    ok = false;
+  }
+  if (tracer_a.spans() != tracer_b.spans()) {
+    std::fprintf(stderr, "[micro_scale] FAIL: span logs diverge (%zu vs %zu"
+                 " spans)\n", tracer_a.span_count(), tracer_b.span_count());
+    ok = false;
+  }
+  if (ok) {
+    std::printf("[micro_scale] byte-identical: %zu spans, %llu deliveries,"
+                " hash %016llx\n",
+                tracer_a.span_count(), (unsigned long long)a.deliveries,
+                (unsigned long long)a.snapshot_hash);
+  }
+  return ok;
 }
 
 }  // namespace
@@ -372,7 +337,7 @@ int main(int argc, char** argv) {
     const PointResult& r = results[i];
     std::fprintf(f,
                  "  {\"nodes\": %zu, \"subs_per_node\": %zu, \"subs\": %zu, "
-                 "\"threads\": %u, \"setup_seconds\": %.3f, "
+                 "\"setup_seconds\": %.3f, "
                  "\"peak_rss_bytes\": %zu, "
                  "\"materialized_zones\": %zu, \"chain_records\": %zu, "
                  "\"implicit_zones\": %zu, "
@@ -381,7 +346,7 @@ int main(int argc, char** argv) {
                  "\"zone_tree_bytes\": %zu, \"sub_bytes\": %zu, "
                  "\"events_per_sec\": %.0f, "
                  "\"deliveries\": %llu, \"snapshot_hash\": \"%016llx\"}%s\n",
-                 r.nodes, r.subs_per_node, r.subs, r.threads, r.setup_seconds,
+                 r.nodes, r.subs_per_node, r.subs, r.setup_seconds,
                  r.peak_rss_bytes, r.materialized_zones, r.chain_records,
                  r.implicit_zones, r.zone_materialized_bytes,
                  r.zone_chain_bytes, r.zone_index_bytes, r.zone_tree_bytes,

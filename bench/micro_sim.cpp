@@ -1,6 +1,6 @@
 // Micro-benchmark: the discrete-event engine itself — scheduling overhead
-// and parallel-execution throughput bound every simulated experiment's
-// wall-clock cost.
+// and sequential throughput bound every simulated experiment's wall-clock
+// cost.
 //
 // Two measurements, both written to BENCH_sim.json (override with
 // --json=PATH) so successive PRs can track the engine trajectory:
@@ -11,14 +11,11 @@
 //     trip per event). A tight store/invoke loop with a realistic ~40-byte
 //     capture quantifies the saving, plus the engine-level ns/event.
 //
-//  2. Parallel throughput: a fig5-style pub/sub workload (full stack,
-//     every node subscribing, dense event feed) executed with the same
-//     lookahead at 1/2/4/8 worker threads. Events/sec is wall-clock
-//     throughput of the measured phase; a hash over the metrics snapshot
-//     and delivery count verifies every thread count produced the
-//     byte-identical result (the engine's whole contract). Speedups are
-//     only meaningful when the host has the cores — the json records
-//     hardware_concurrency so the CI gate can tell.
+//  2. Engine throughput: a fig5-style pub/sub workload (full stack, every
+//     node subscribing, dense event feed) executed twice. Events/sec and
+//     ns/event are the wall-clock cost of the measured phase; a hash over
+//     the metrics snapshot and delivery count verifies both runs produced
+//     the byte-identical result (the engine's determinism contract).
 //
 // --quick shrinks the run for CI; --full runs the 10k-node scale.
 
@@ -27,7 +24,6 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -52,10 +48,11 @@ struct Params {
   std::size_t nodes = 400;
   std::size_t subs_per_node = 5;
   std::size_t events = 2000;
-  double mean_interarrival_ms = 0.5;  ///< dense feed: keeps windows full
-  double lookahead_ms = 5.0;
-  std::vector<unsigned> threads{1, 2, 4, 8};
+  double mean_interarrival_ms = 0.5;  ///< dense feed
 };
+
+/// Runs of the same workload; their snapshot hashes must agree.
+constexpr int kRuns = 2;
 
 // --- 1. Task SBO --------------------------------------------------------
 
@@ -90,10 +87,9 @@ double engine_ns_per_event(std::size_t n, std::uint64_t& sink) {
   return ns_between(t0, Clock::now()) / double(n);
 }
 
-// --- 2. parallel throughput --------------------------------------------
+// --- 2. engine throughput ----------------------------------------------
 
 struct RunResult {
-  unsigned threads = 1;
   std::uint64_t executed = 0;
   double wall_ms = 0.0;
   double events_per_sec = 0.0;
@@ -108,14 +104,12 @@ std::uint64_t fnv1a(const std::string& s, std::uint64_t h = 1469598103934665603u
   return h;
 }
 
-RunResult run_workload(const Params& p, unsigned threads) {
+RunResult run_workload(const Params& p) {
   net::KingLikeTopology::Params tp;
   tp.hosts = p.nodes;
   tp.seed = 11;
   net::KingLikeTopology topo(tp);
   sim::Simulator sim;
-  sim.set_threads(threads);
-  sim.set_lookahead(p.lookahead_ms);
   net::Network net(sim, topo);
   chord::ChordNet::Params cp;
   cp.seed = 11;
@@ -154,7 +148,6 @@ RunResult run_workload(const Params& p, unsigned threads) {
   sys.finalize_events();
 
   RunResult r;
-  r.threads = threads;
   r.executed = sim.executed() - before;
   r.wall_ms = wall_ns / 1e6;
   r.events_per_sec = double(r.executed) / (wall_ns / 1e9);
@@ -202,14 +195,14 @@ int main(int argc, char** argv) {
               ns_task, ns_function, ns_function / ns_task, ns_engine,
               fits ? "yes" : "no");
 
-  // --- parallel throughput ---
+  // --- engine throughput ---
   std::vector<RunResult> runs;
-  for (const unsigned threads : p.threads) {
-    runs.push_back(run_workload(p, threads));
+  for (int i = 0; i < kRuns; ++i) {
+    runs.push_back(run_workload(p));
     const RunResult& r = runs.back();
-    std::printf("[micro_sim] threads=%u: %.0f events/sec "
+    std::printf("[micro_sim] run %d: %.0f events/sec, %.0f ns/event "
                 "(%llu events, %.1f ms, hash %016llx)\n",
-                r.threads, r.events_per_sec,
+                i + 1, r.events_per_sec, 1e9 / r.events_per_sec,
                 (unsigned long long)r.executed, r.wall_ms,
                 (unsigned long long)r.snapshot_hash);
   }
@@ -217,7 +210,7 @@ int main(int argc, char** argv) {
   for (const RunResult& r : runs) {
     deterministic = deterministic && r.snapshot_hash == runs[0].snapshot_hash;
   }
-  std::printf("[micro_sim] deterministic across thread counts: %s\n",
+  std::printf("[micro_sim] deterministic across runs: %s\n",
               deterministic ? "yes" : "NO — engine bug");
 
   FILE* f = std::fopen(json_path.c_str(), "w");
@@ -228,7 +221,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n \"bench\": \"micro_sim\",\n");
   hypersub::bench::write_host_json(f);
   std::fprintf(f, " \"nodes\": %zu,\n \"events\": %zu,\n", p.nodes, p.events);
-  std::fprintf(f, " \"lookahead_ms\": %.3f,\n", p.lookahead_ms);
   std::fprintf(f,
                " \"task_sbo\": {\n"
                "  \"ns_per_op_task\": %.2f,\n"
@@ -245,10 +237,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
     std::fprintf(f,
-                 "  {\"threads\": %u, \"events_per_sec\": %.0f, "
+                 "  {\"run\": %zu, \"events_per_sec\": %.0f, "
+                 "\"ns_per_event\": %.1f, "
                  "\"executed_events\": %llu, \"wall_ms\": %.2f, "
                  "\"snapshot_hash\": \"%016llx\"}%s\n",
-                 r.threads, r.events_per_sec,
+                 i + 1, r.events_per_sec, 1e9 / r.events_per_sec,
                  (unsigned long long)r.executed, r.wall_ms,
                  (unsigned long long)r.snapshot_hash,
                  i + 1 < runs.size() ? "," : "");

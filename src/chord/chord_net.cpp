@@ -233,7 +233,7 @@ void ChordNet::route_step(net::HostIndex at, Id key,
     return;
   }
   if (hops >= params_.max_route_hops) {
-    net_.simulator().defer_ordered([this] { ++route_drops_; });
+    ++route_drops_;
     return;
   }
   // Final hop: key lies between us and our successor.
@@ -247,7 +247,7 @@ void ChordNet::route_step(net::HostIndex at, Id key,
   }
   if (!next.valid()) {  // isolated node: drop
     if (params_.reliable_routing) {
-      net_.simulator().defer_ordered([this] { ++route_drops_; });
+      ++route_drops_;
     }
     return;
   }
@@ -311,10 +311,10 @@ void ChordNet::send_route_hop(net::HostIndex at, NodeRef next, Id key,
         note_peer_failure(at, to);
         const NodeRef retry = next_hop(at, key);
         if (!retry.valid() || retry.host == to) {
-          net_.simulator().defer_ordered([this] { ++route_drops_; });
+          ++route_drops_;
           return;
         }
-        net_.simulator().defer_ordered([this] { ++route_reroutes_; });
+        ++route_reroutes_;
         // The detour is a fresh hop span under the expired one (the
         // channel already recorded the expire span there).
         if (auto* tr = trace::maybe(tracer_); tr && tctx.active()) {
@@ -387,15 +387,12 @@ void ChordNet::get_state(
       ok(pred, slist);
     });
   });
-  // The timeout runs on the requester's shard: both `done` and the fail
-  // path mutate `from`-side state, and the reply handler that races this
-  // timer also runs there.
-  net_.simulator().schedule_on(from, params_.rpc_timeout_ms,
-                               [done, fail = std::move(fail)] {
-                                 if (*done) return;
-                                 *done = true;
-                                 if (fail) fail();
-                               });
+  net_.simulator().schedule(params_.rpc_timeout_ms,
+                            [done, fail = std::move(fail)] {
+                              if (*done) return;
+                              *done = true;
+                              if (fail) fail();
+                            });
 }
 
 void ChordNet::start_maintenance() {
@@ -409,10 +406,7 @@ void ChordNet::start_maintenance() {
 
 void ChordNet::schedule_tick(net::HostIndex h, double delay) {
   maintaining_[h] = true;
-  // Maintenance ticks are pinned to the exclusive (no-shard) context: one
-  // tick touches many nodes' state (probes, shared ping counters), so the
-  // parallel engine runs it alone between windows.
-  net_.simulator().schedule_on(sim::kNoShard, delay, [this, h] {
+  net_.simulator().schedule(delay, [this, h] {
     if (maintenance_stopped_ || !net_.alive(h)) {
       maintaining_[h] = false;
       return;
@@ -472,15 +466,13 @@ void ChordNet::fix_next_finger(net::HostIndex h) {
   next_finger_[h] = (i + 1) % kIdBits;
   const Id start = ring::finger_start(nd.id(), i);
   route(h, start, 0, [this, h, i, start](const RouteResult& r) {
-    // This callback runs at the key's owner, not at h; every write to h's
-    // finger table is shipped back to h's shard (a remote apply delayed by
-    // the effective lookahead, identical in both modes).
+    // This callback runs at the key's owner, not at h; the write to h's
+    // finger table is applied by a separate event.
     if (!net_.alive(h)) return;
     if (!params_.pns) {
-      net_.simulator().schedule_on(
-          h, net_.simulator().effective_lookahead(), [this, h, i, owner = r.owner] {
-            if (net_.alive(h)) nodes_[h]->set_finger(i, owner);
-          });
+      net_.simulator().schedule(0.0, [this, h, i, owner = r.owner] {
+        if (net_.alive(h)) nodes_[h]->set_finger(i, owner);
+      });
       return;
     }
     // PNS refinement: fetch the owner's successor list and keep the
@@ -551,11 +543,11 @@ bool ChordNet::join(net::HostIndex host, net::HostIndex bootstrap,
   with_pred_watch(host, [](ChordNode& me) { me.reset_routing_state(); });
   route(bootstrap, nd.id(), 0,
         [this, host, on_joined = std::move(on_joined)](const RouteResult& r) {
-          // Runs at the owner; apply the join result on the joiner's shard.
-          net_.simulator().schedule_on(
-              host, net_.simulator().effective_lookahead(),
-              [this, host, owner = r.owner,
-               on_joined = std::move(on_joined)] {
+          // Runs at the owner; the joiner applies the result in a
+          // separate event.
+          net_.simulator().schedule(
+              0.0, [this, host, owner = r.owner,
+                    on_joined = std::move(on_joined)] {
                 if (!net_.alive(host)) return;
                 nodes_[host]->set_successor(owner);
                 if (!maintaining_[host]) schedule_tick(host, 0.0);
@@ -580,9 +572,8 @@ bool ChordNet::leave(net::HostIndex host, std::function<void()> on_left) {
   auto finish = std::make_shared<std::function<void()>>(std::move(on_left));
   const auto step = [this, host, pending, finish] {
     if (--*pending > 0) return;
-    // Depart only after both splice messages landed; the kill touches
-    // network-global state, so it runs in the exclusive context.
-    net_.simulator().schedule_on(sim::kNoShard, 0.0, [this, host, finish] {
+    // Depart only after both splice messages landed.
+    net_.simulator().schedule(0.0, [this, host, finish] {
       if (net_.alive(host)) net_.kill(host);
       if (*finish) (*finish)();
     });

@@ -37,13 +37,9 @@ HyperSubSystem::HyperSubSystem(overlay::Overlay& dht, Config cfg)
     // failure repair, oracle rebuild), cached resolutions pointing at it
     // may now land on a non-owner. Stale hits would still self-repair via
     // forward-and-correct; invalidating eagerly keeps the detour window
-    // small and the hit counters honest. The listener can fire on any
-    // shard; route caches are global structures, so the sweep is deferred
-    // to the barrier (inline in sequential mode).
+    // small and the hit counters honest.
     dht_.set_ownership_listener([this](net::HostIndex h) {
-      simulator().defer_ordered([this, h] {
-        for (auto& c : caches_) c->invalidate_host(h);
-      });
+      for (auto& c : caches_) c->invalidate_host(h);
     });
     owns_ownership_listener_ = true;
   }
@@ -706,9 +702,7 @@ void HyperSubSystem::propagate_pieces(net::HostIndex host,
 // ---------------------------------------------------------------------------
 // Path-compressed structural zone chains
 //
-// All chain state lives in the owning node's ZoneChainSet; every mutation
-// below happens on that node's shard, so the compressed representation is
-// exactly as parallel-deterministic as the materialized one. Pieces still
+// All chain state lives in the owning node's ZoneChainSet. Pieces still
 // enter a chain only through its head (children of the tail receive routed
 // register_piece_at like before), which is what lets a cascade cross a
 // whole chain in one step instead of one hop per level.
@@ -1200,10 +1194,6 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
                                       pubsub::Event event,
                                       DeliveryCallback on_delivery) {
   assert(scheme < schemes_.size());
-  // publish() is a driver-facing entry point: it allocates the global
-  // event sequence number and the tracker, so it must run in the main
-  // (exclusive) context, never inside a sharded event handler.
-  assert(!simulator().in_worker_context());
   const SchemeRuntime& rt = *schemes_[scheme];
   assert(pubsub::valid_event(rt.scheme(), event));
 
@@ -1293,12 +1283,8 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
 
   if (!list.empty()) {
     ++t.outstanding;
-    // The publisher-local pass runs on the publisher's shard, like every
-    // other event message (process_event_message touches that node's
-    // zones, scratch, and forwarding queues).
-    simulator().schedule_on(publisher, 0.0,
-                            [this, publisher, ctx = std::move(ctx),
-                             list = std::move(list)]() mutable {
+    simulator().schedule(0.0, [this, publisher, ctx = std::move(ctx),
+                               list = std::move(list)]() mutable {
       process_event_message(publisher, ctx, std::move(list), 0, ctx->root);
     });
   }
@@ -1327,22 +1313,17 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
                         via]() mutable {
         process_event_message(host, ctx, std::move(list), hops, via);
       });
-      simulator().defer_ordered([this] { ++join_stats_.events_buffered; });
+      ++join_stats_.events_buffered;
       return;
     }
   }
   HyperSubNode& nd = *nodes_[host];
-  // Tracker accounting is deferred: trackers_ is a system-global map, so
-  // worker-context touches are applied at the window barrier in
-  // deterministic order (inline in sequential mode). Each closure re-finds
-  // the tracker — it may already have been force-finalized
-  // (finalize_events() during churn runs); keep delivering, just stop
-  // accounting.
-  simulator().defer_ordered([this, seq = ctx->seq, hops] {
-    if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-      it->second.max_hops = std::max(it->second.max_hops, hops);
-    }
-  });
+  // Every tracker touch re-finds the tracker — it may already have been
+  // force-finalized (finalize_events() during churn runs); keep
+  // delivering, just stop accounting.
+  if (const auto it = trackers_.find(ctx->seq); it != trackers_.end()) {
+    it->second.max_hops = std::max(it->second.max_hops, hops);
+  }
 
   // One match span per processed message; everything this node records
   // (deliveries, drops, cache corrections, outgoing forwards) chains under
@@ -1361,14 +1342,13 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
   // very node. `pending` and `matched_keys` are system-held scratch — the
   // delivery path allocates nothing per message beyond the outgoing
   // per-neighbor sublists, which the send closures must own anyway.
-  Scratch& scratch = scratch_[simulator().worker_slot()];
-  std::vector<SubId>& pending = scratch.pending;
+  std::vector<SubId>& pending = scratch_.pending;
   pending.clear();
   // One zone key can alias a whole rightmost zone chain, and a chain's
   // parent pointer may target the same key the rendezvous already did —
   // process each key at most once per message. The handful of keys per
   // message makes a linear find over a flat vector cheaper than hashing.
-  std::vector<Id>& matched_keys = scratch.keys;
+  std::vector<Id>& matched_keys = scratch_.keys;
   matched_keys.clear();
   std::size_t cursor = 0;
   while (cursor < list.size()) {
@@ -1388,7 +1368,7 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
           break;
         }
         matched_keys.push_back(subid.target);
-        auto& zlist = scratch.zones;
+        auto& zlist = scratch_.zones;
         zlist.clear();
         nd.append_zones_by_key(subid.target, zlist);
         for (ZoneState* zs : zlist) {
@@ -1443,14 +1423,12 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
         // merely inherited the id range after a failure drops it).
         if (subid.target == nd.node_id()) {
           // End-to-end dedupe: a rerouted subtree can re-match the same
-          // subscription through a different path. The seen-set is
-          // per-subscriber-host, so it lives on this shard.
+          // subscription through a different path.
           if (cfg_.reliable_delivery &&
               !delivered_subs_[host][ctx->seq]
                    .emplace(subid.target, subid.iid)
                    .second) {
-            simulator().defer_ordered(
-                [this] { ++rel_.duplicates_suppressed; });
+            ++rel_.duplicates_suppressed;
             break;
           }
           if (auto* tr = trace::maybe(tracer_);
@@ -1459,32 +1437,23 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
                       host, simulator().now(), subid.iid,
                       std::uint64_t(hops));
           }
-          // The delivery record needs the tracker (latency base, matched
-          // count) and feeds system-global state (sink, metrics), so the
-          // whole tail is deferred; its closure sees the tracker in the
-          // same state a sequential run would at this point. NOTE: the
-          // per-publish on_delivery observer consequently must not
-          // schedule events (it runs inside a barrier in parallel mode).
-          simulator().defer_ordered([this, ctx, host, iid = subid.iid, hops,
-                                     now = simulator().now()] {
-            double lat = 0.0;
-            if (const auto it = trackers_.find(ctx->seq);
-                it != trackers_.end()) {
-              ++it->second.matched;
-              lat = now - it->second.publish_time;
-              it->second.max_latency = std::max(it->second.max_latency, lat);
-            }
-            const Delivery d{ctx->seq, host, iid, hops, lat};
-            sink_->on_delivery(d);
-            if (ctx->on_delivery) ctx->on_delivery(d);
-          });
+          double lat = 0.0;
+          if (const auto it = trackers_.find(ctx->seq);
+              it != trackers_.end()) {
+            ++it->second.matched;
+            lat = simulator().now() - it->second.publish_time;
+            it->second.max_latency = std::max(it->second.max_latency, lat);
+          }
+          const Delivery d{ctx->seq, host, subid.iid, hops, lat};
+          sink_->on_delivery(d);
+          if (ctx->on_delivery) ctx->on_delivery(d);
         }
         break;
       }
       case SubIdKind::kMigrated: {
         if (subid.target == nd.node_id()) {
           if (const MigratedRepo* repo = nd.find_migrated(subid.iid)) {
-            repo->match(ctx->event.point, list, scratch.cand);
+            repo->match(ctx->event.point, list, scratch_.cand);
           }
         }
         break;
@@ -1496,7 +1465,7 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
   // links; all subids sharing a next hop ride in one message. Grouping by
   // a stable sort over a flat (next hop, subid) vector keeps each group's
   // subid order identical to the old per-bucket insertion order.
-  auto& routed = scratch.routed;
+  auto& routed = scratch_.routed;
   routed.clear();
   if (cfg_.reliable_delivery && hops >= cfg_.max_event_hops) {
     // Hop TTL: reroutes can detour through stale routing state; bound any
@@ -1549,11 +1518,9 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
     sublist->reserve(j - i);
     for (std::size_t k = i; k < j; ++k) sublist->push_back(routed[k].second);
     i = j;
-    simulator().defer_ordered([this, seq = ctx->seq] {
-      if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-        ++it->second.outstanding;
-      }
-    });
+    if (const auto it = trackers_.find(ctx->seq); it != trackers_.end()) {
+      ++it->second.outstanding;
+    }
     forward_event(host, to, ctx, std::move(sublist), hops,
                   overlay::Peer::kInvalidHost, match_span);
   }
@@ -1561,16 +1528,13 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
     tr->end(match_span, simulator().now());
   }
 
-  // Retire this hop's outstanding slot. Deferred like every other tracker
-  // touch; the closures above/below apply in this textual order, so the
-  // count never dips below the increments already folded in.
-  simulator().defer_ordered([this, seq = ctx->seq] {
-    if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-      assert(it->second.outstanding > 0);
-      --it->second.outstanding;
-      finalize_if_done(seq);
-    }
-  });
+  // Retire this hop's outstanding slot, after the increments above, so the
+  // count never dips to zero early.
+  if (const auto it = trackers_.find(ctx->seq); it != trackers_.end()) {
+    assert(it->second.outstanding > 0);
+    --it->second.outstanding;
+    finalize_if_done(ctx->seq);
+  }
 }
 
 void HyperSubSystem::forward_event(net::HostIndex host, net::HostIndex to,
@@ -1599,7 +1563,6 @@ void HyperSubSystem::forward_event(net::HostIndex host, net::HostIndex to,
   // add chunks for the same hop.
   auto& queue = batches_[host][to];
   if (queue.empty()) {
-    // Inherits the current (sender's) shard, like every queued chunk.
     simulator().schedule(0.0, [this, host, to] { flush_batch(host, to); });
   }
   queue.push_back(FrameChunk{ctx, std::move(sublist), hops, failed, fwd});
@@ -1613,9 +1576,7 @@ void HyperSubSystem::flush_batch(net::HostIndex host, net::HostIndex to) {
       std::make_shared<std::vector<FrameChunk>>(std::move(it->second));
   mine.erase(it);
   if (chunks->size() > 1) {
-    simulator().defer_ordered([this, n = chunks->size()] {
-      batch_.header_bytes_saved += overlay::kHeaderBytes * (n - 1);
-    });
+    batch_.header_bytes_saved += overlay::kHeaderBytes * (chunks->size() - 1);
   }
   send_frame(host, to, std::move(chunks));
 }
@@ -1624,49 +1585,31 @@ void HyperSubSystem::send_frame(
     net::HostIndex host, net::HostIndex to,
     std::shared_ptr<std::vector<FrameChunk>> chunks) {
   // One header per frame; each chunk pays its own event + subid payload.
-  // The header is attributed to the first chunk with a live tracker. The
-  // frame size is needed synchronously (it goes on the wire); the tracker
-  // and batch-counter attribution is deferred, with the per-chunk sizes
-  // snapshotted now — the receiver consumes the sublists later.
+  // The header is attributed to the first chunk with a live tracker.
   std::uint64_t bytes = overlay::kHeaderBytes;
-  std::uint64_t grouping_saved = 0;
-  std::uint64_t subid_wire = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sizes;
-  sizes.reserve(chunks->size());
+  bool header_charged = false;
   for (const FrameChunk& c : *chunks) {
     const std::uint64_t subid_bytes =
         subid_list_wire_bytes(*c.subids, cfg_.cover_aggregation);
     const std::uint64_t chunk_bytes = kEventBytes + subid_bytes;
-    subid_wire += subid_bytes;
+    subid_wire_bytes_ += subid_bytes;
     if (cfg_.cover_aggregation) {
-      grouping_saved +=
+      cover_subid_bytes_saved_ +=
           kSubIdBytes * c.subids->size() -
           subid_list_wire_bytes(*c.subids, true);
     }
     bytes += chunk_bytes;
-    sizes.emplace_back(c.ctx->seq, chunk_bytes);
-  }
-  if (subid_wire > 0 || grouping_saved > 0) {
-    simulator().defer_ordered([this, subid_wire, grouping_saved] {
-      subid_wire_bytes_ += subid_wire;
-      cover_subid_bytes_saved_ += grouping_saved;
-    });
-  }
-  simulator().defer_ordered([this, sizes = std::move(sizes)] {
-    bool header_charged = false;
-    for (const auto& [seq, chunk_bytes] : sizes) {
-      if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-        it->second.bytes += chunk_bytes;
-        if (!header_charged) {
-          it->second.bytes += overlay::kHeaderBytes;
-          it->second.header_bytes += overlay::kHeaderBytes;
-          header_charged = true;
-        }
+    if (const auto it = trackers_.find(c.ctx->seq); it != trackers_.end()) {
+      it->second.bytes += chunk_bytes;
+      if (!header_charged) {
+        it->second.bytes += overlay::kHeaderBytes;
+        it->second.header_bytes += overlay::kHeaderBytes;
+        header_charged = true;
       }
     }
-    ++batch_.frames;
-    batch_.chunks += sizes.size();
-  });
+  }
+  ++batch_.frames;
+  batch_.chunks += chunks->size();
 
   const Id sender = dht_.id_of(host);
   if (!cfg_.reliable_delivery) {
@@ -1711,13 +1654,7 @@ void HyperSubSystem::send_frame(
         for (const FrameChunk& c : *chunks) {
           if (c.failed == overlay::Peer::kInvalidHost) continue;
           dht_.note_peer_failure(to, c.failed, host);
-          if (cfg_.route_cache) {
-            // Caches are read on the (exclusive) publish path; mutations
-            // from shard contexts go through the deferred stream.
-            simulator().defer_ordered([this, to, failed = c.failed] {
-              caches_[to]->invalidate_host(failed);
-            });
-          }
+          if (cfg_.route_cache) caches_[to]->invalidate_host(c.failed);
         }
         dht_.note_app_contact(to, sender);
         if (auto* tr = trace::maybe(tracer_)) {
@@ -1737,25 +1674,21 @@ void HyperSubSystem::send_frame(
         // they describe is over, even though it failed; the reroute's new
         // forward spans chain under them.
         dht_.note_peer_failure(host, to);
-        if (cfg_.route_cache) {
-          simulator().defer_ordered(
-              [this, host, to] { caches_[host]->invalidate_host(to); });
-        }
+        if (cfg_.route_cache) caches_[host]->invalidate_host(to);
         if (auto* tr = trace::maybe(tracer_)) {
           const double now = simulator().now();
           for (const FrameChunk& c : *chunks) tr->end(c.fwd_span, now);
         }
         for (const FrameChunk& c : *chunks) {
           reroute_event(host, c.ctx, *c.subids, c.hops, to, c.fwd_span);
-          // reroute_event defers its outstanding increments first, so this
-          // decrement folds in after them — the count stays positive.
-          simulator().defer_ordered([this, seq = c.ctx->seq] {
-            if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-              assert(it->second.outstanding > 0);
-              --it->second.outstanding;
-              finalize_if_done(seq);
-            }
-          });
+          // reroute_event counts its outstanding increments first, so this
+          // decrement comes after them — the count stays positive.
+          const std::uint64_t seq = c.ctx->seq;
+          if (const auto it = trackers_.find(seq); it != trackers_.end()) {
+            assert(it->second.outstanding > 0);
+            --it->second.outstanding;
+            finalize_if_done(seq);
+          }
         }
       },
       tctx);
@@ -1797,12 +1730,10 @@ void HyperSubSystem::reroute_event(net::HostIndex host, const EventCtxPtr& ctx,
     sublist->reserve(j - i);
     for (std::size_t k = i; k < j; ++k) sublist->push_back(routed[k].second);
     i = j;
-    simulator().defer_ordered([this, seq = ctx->seq] {
-      ++rel_.reroutes;
-      if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-        ++it->second.outstanding;
-      }
-    });
+    ++rel_.reroutes;
+    if (const auto it = trackers_.find(ctx->seq); it != trackers_.end()) {
+      ++it->second.outstanding;
+    }
     if (traced) {
       tr->point(ctx->trace, parent, trace::SpanKind::kReroute, host,
                 simulator().now(), std::uint64_t(to),
@@ -1831,8 +1762,7 @@ void HyperSubSystem::note_rendezvous_owner(net::HostIndex host,
           tr->point(ctx->trace, parent, trace::SpanKind::kCacheCorrect,
                     host, simulator().now(), std::uint64_t(ctx->origin));
         }
-        simulator().defer_ordered(
-            [this, host, key] { caches_[host]->forget(key); });
+        caches_[host]->forget(key);
       }
     } else if (rv.sent_to != host) {
       // Miss (probe rode normal routing) or stale hit (probe was handed to
@@ -1849,11 +1779,7 @@ void HyperSubSystem::note_rendezvous_owner(net::HostIndex host,
           host, ctx->origin,
           overlay::kHeaderBytes + overlay::kKeyBytes + overlay::kNodeRefBytes,
           [this, origin = ctx->origin, key, owner = host] {
-            // Runs on the origin's shard; the cache write joins the
-            // deferred stream like every other cache mutation.
-            simulator().defer_ordered([this, origin, key, owner] {
-              caches_[origin]->learn(key, owner);
-            });
+            caches_[origin]->learn(key, owner);
           });
     }
     return;  // duplicate keys across subschemes alias the same owner
@@ -1862,23 +1788,15 @@ void HyperSubSystem::note_rendezvous_owner(net::HostIndex host,
 
 void HyperSubSystem::invalidate_cached_route(Id key) {
   if (!cfg_.route_cache) return;
-  // Callers include shard-context paths (migration replies); the sweep over
-  // every host's cache is global state, so it rides the deferred stream.
-  simulator().defer_ordered([this, key] {
-    for (auto& c : caches_) c->forget(key);
-  });
+  for (auto& c : caches_) c->forget(key);
 }
 
 void HyperSubSystem::note_event_drop(std::uint64_t seq, std::size_t subids) {
   if (subids == 0) return;
-  // Global counters + tracker flag; deferred so shard-context drops fold in
-  // at the barrier in the sequential order.
-  simulator().defer_ordered([this, seq, subids] {
-    rel_.unmasked_drops += subids;
-    if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-      it->second.truncated = true;
-    }
-  });
+  rel_.unmasked_drops += subids;
+  if (const auto it = trackers_.find(seq); it != trackers_.end()) {
+    it->second.truncated = true;
+  }
 }
 
 void HyperSubSystem::finalize_if_done(std::uint64_t seq) {
@@ -2324,9 +2242,8 @@ std::uint64_t HyperSubSystem::zone_content_digest() const {
 // to its successor, drains the queue, bridges late arrivals, then splices
 // out of the ring and dies.
 //
-// Every handler below runs on the shard of the host whose state it touches
-// (transfer frames land at their destination); global counters ride
-// defer_ordered. That keeps the protocol deterministic under --threads=N.
+// Every handler below runs at the host whose state it touches (transfer
+// frames land at their destination).
 
 namespace {
 
@@ -2509,14 +2426,10 @@ void HyperSubSystem::reseed_replicas(net::HostIndex owner, const ZoneAddr& addr,
                      nd.replica_zone_state(addr, key).restore(r);
                    });
   }
-  if (sent > 0) {
-    simulator().defer_ordered(
-        [this, sent] { join_stats_.transfer_bytes += sent; });
-  }
+  join_stats_.transfer_bytes += sent;
 }
 
 void HyperSubSystem::join_node(net::HostIndex host, net::HostIndex bootstrap) {
-  assert(!simulator().in_worker_context());
   assert(host < nodes_.size() && bootstrap < nodes_.size());
   assert(host != bootstrap);
   assert(network().alive(bootstrap));
@@ -2540,16 +2453,13 @@ void HyperSubSystem::join_node(net::HostIndex host, net::HostIndex bootstrap) {
   }
   // Failsafe: if the snapshot source dies or stabilization stalls, stop
   // warming and serve with whatever arrived — degraded but live.
-  simulator().schedule_on(host, cfg_.handover_timeout_ms,
-                          [this, host, epoch] {
-                            WarmState& w2 = warm_[host];
-                            if (w2.warming && w2.epoch == epoch &&
-                                network().alive(host)) {
-                              simulator().defer_ordered(
-                                  [this] { ++join_stats_.joins_aborted; });
-                              finish_warming(host);
-                            }
-                          });
+  simulator().schedule(cfg_.handover_timeout_ms, [this, host, epoch] {
+    WarmState& w2 = warm_[host];
+    if (w2.warming && w2.epoch == epoch && network().alive(host)) {
+      ++join_stats_.joins_aborted;
+      finish_warming(host);
+    }
+  });
 }
 
 void HyperSubSystem::begin_state_transfer(net::HostIndex joiner) {
@@ -2592,10 +2502,8 @@ void HyperSubSystem::handle_transfer_request(net::HostIndex owner,
   auto frame = std::make_shared<std::vector<std::uint8_t>>(
       serialize_moved_zones(owner, t, &zones));
   const std::uint64_t bytes = overlay::kHeaderBytes + frame->size();
-  simulator().defer_ordered([this, bytes, zones] {
-    join_stats_.transfer_bytes += bytes;
-    join_stats_.zones_transferred += zones;
-  });
+  join_stats_.transfer_bytes += bytes;
+  join_stats_.zones_transferred += zones;
   network().send(owner, joiner, bytes, [this, joiner, frame] {
     WarmState& ws = warm_[joiner];
     if (ws.warming) {
@@ -2609,8 +2517,8 @@ void HyperSubSystem::handle_transfer_request(net::HostIndex owner,
 
 void HyperSubSystem::schedule_handover_tick(net::HostIndex owner,
                                             std::uint64_t epoch) {
-  simulator().schedule_on(owner, cfg_.handover_tick_ms,
-                          [this, owner, epoch] { handover_tick(owner, epoch); });
+  simulator().schedule(cfg_.handover_tick_ms,
+                       [this, owner, epoch] { handover_tick(owner, epoch); });
 }
 
 void HyperSubSystem::handover_tick(net::HostIndex owner, std::uint64_t epoch) {
@@ -2629,8 +2537,7 @@ void HyperSubSystem::handover_tick(net::HostIndex owner, std::uint64_t epoch) {
     t.queue.clear();
     const std::uint64_t bytes = overlay::kHeaderBytes + t.queue_bytes;
     t.queue_bytes = 0;
-    simulator().defer_ordered(
-        [this, bytes] { join_stats_.transfer_bytes += bytes; });
+    join_stats_.transfer_bytes += bytes;
     network().send(owner, t.target, bytes, [this, to = t.target, ops] {
       WarmState& ws = warm_[to];
       if (ws.warming) {
@@ -2662,8 +2569,7 @@ void HyperSubSystem::commit_join_handover(net::HostIndex owner) {
   const std::uint64_t epoch = t.epoch;
   // Lost-ack failsafe (the joiner died with the commit in flight): clear
   // the session at the deadline so the owner can serve future transfers.
-  simulator().schedule_on(
-      owner,
+  simulator().schedule(
       std::max(0.0, t.deadline_ms - simulator().now()) + cfg_.handover_tick_ms,
       [this, owner, epoch] {
         TransferOut& t2 = transfers_out_[owner];
@@ -2677,13 +2583,11 @@ void HyperSubSystem::commit_join_handover(net::HostIndex owner) {
         if (ok) {
           finish_warming(joiner);
           const double handoff = simulator().now() - started;
-          simulator().defer_ordered([this, handoff] {
-            ++join_stats_.joins_committed;
-            join_stats_.total_handoff_ms += handoff;
-            if (handoff > join_stats_.max_handoff_ms) {
-              join_stats_.max_handoff_ms = handoff;
-            }
-          });
+          ++join_stats_.joins_committed;
+          join_stats_.total_handoff_ms += handoff;
+          if (handoff > join_stats_.max_handoff_ms) {
+            join_stats_.max_handoff_ms = handoff;
+          }
         }
         network().send(joiner, owner, overlay::kHeaderBytes,
                        [this, owner, epoch, ok] {
@@ -2764,8 +2668,7 @@ void HyperSubSystem::commit_join_handover(net::HostIndex owner) {
           } else {
             // The joiner gave up warming before the commit arrived: keep
             // the zones — this is an abort, not a commit.
-            simulator().defer_ordered(
-                [this] { ++join_stats_.joins_aborted; });
+            ++join_stats_.joins_aborted;
           }
           const std::uint64_t e = t2.epoch;
           t2 = TransferOut{};
@@ -2784,8 +2687,7 @@ void HyperSubSystem::commit_leave_handover(net::HostIndex owner) {
     moved->emplace_back(zone_key_of(addr), addr);
   }
   std::sort(moved->begin(), moved->end(), zone_order);
-  simulator().schedule_on(
-      owner,
+  simulator().schedule(
       std::max(0.0, t.deadline_ms - simulator().now()) + cfg_.handover_tick_ms,
       [this, owner, epoch] {
         TransferOut& t2 = transfers_out_[owner];
@@ -2816,13 +2718,11 @@ void HyperSubSystem::commit_leave_handover(net::HostIndex owner) {
           // lands and the copies die with the node.
           for (const auto& [key, addr] : *moved) invalidate_cached_route(key);
           const double handoff = simulator().now() - t2.started_ms;
-          simulator().defer_ordered([this, handoff] {
-            ++join_stats_.leaves_completed;
-            join_stats_.total_handoff_ms += handoff;
-            if (handoff > join_stats_.max_handoff_ms) {
-              join_stats_.max_handoff_ms = handoff;
-            }
-          });
+          ++join_stats_.leaves_completed;
+          join_stats_.total_handoff_ms += handoff;
+          if (handoff > join_stats_.max_handoff_ms) {
+            join_stats_.max_handoff_ms = handoff;
+          }
           dht_.leave(owner, [this, owner] {
             const std::uint64_t e = transfers_out_[owner].epoch;
             transfers_out_[owner] = TransferOut{};
@@ -2838,7 +2738,7 @@ void HyperSubSystem::abort_transfer(net::HostIndex owner) {
   const std::uint64_t epoch = t.epoch;
   t = TransferOut{};
   t.epoch = epoch;
-  simulator().defer_ordered([this] { ++join_stats_.joins_aborted; });
+  ++join_stats_.joins_aborted;
 }
 
 void HyperSubSystem::finish_warming(net::HostIndex joiner) {
@@ -2870,16 +2770,11 @@ void HyperSubSystem::finish_warming(net::HostIndex joiner) {
   // 4. Replay the deferred full-path work (installs, removals, buffered
   //    events) — warming is off, so these now execute for real.
   for (auto& op : done.ops) op();
-  const std::uint64_t q = done.transfer_ops.size();
-  const std::uint64_t w = done.ops.size();
-  simulator().defer_ordered([this, q, w] {
-    join_stats_.queued_ops_replayed += q;
-    join_stats_.warm_ops_replayed += w;
-  });
+  join_stats_.queued_ops_replayed += done.transfer_ops.size();
+  join_stats_.warm_ops_replayed += done.ops.size();
 }
 
 void HyperSubSystem::leave_node(net::HostIndex host) {
-  assert(!simulator().in_worker_context());
   if (!network().alive(host)) return;
   if (transfers_out_[host].active || warm_[host].warming) return;
   const overlay::Peer heir = dht_.heir_of(host);
@@ -2903,7 +2798,7 @@ void HyperSubSystem::leave_node(net::HostIndex host) {
   auto frame = std::make_shared<std::vector<std::uint8_t>>(
       serialize_moved_zones(host, t, &zones));
   const std::uint64_t bytes = overlay::kHeaderBytes + frame->size();
-  join_stats_.transfer_bytes += bytes;  // main context: direct
+  join_stats_.transfer_bytes += bytes;
   join_stats_.zones_transferred += zones;
   // The successor installs immediately (it is not warming): primary copies
   // supersede its replica copies of the same zones. It starts matching them
@@ -2916,7 +2811,6 @@ void HyperSubSystem::leave_node(net::HostIndex host) {
 }
 
 void HyperSubSystem::crash_node(net::HostIndex host) {
-  assert(!simulator().in_worker_context());
   // Abrupt: no handshake. Clear any transfer machinery this host ran.
   {
     TransferOut& t = transfers_out_[host];
@@ -2944,7 +2838,6 @@ std::vector<std::uint8_t> HyperSubSystem::snapshot_node(
 void HyperSubSystem::restore_node(net::HostIndex host,
                                   const std::vector<std::uint8_t>& snapshot,
                                   net::HostIndex bootstrap) {
-  assert(!simulator().in_worker_context());
   if (!network().alive(host)) network().revive(host);
   common::ByteReader r(snapshot);
   const std::uint32_t ver = r.u32();

@@ -13,7 +13,6 @@
 // The system also owns experiment observability: per-event cost trackers,
 // the pluggable delivery sink, and per-node loads.
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -349,10 +348,6 @@ class HyperSubSystem {
   /// detached first).
   void set_tracer(trace::Tracer* t) {
     tracer_ = t;
-    // Bind the tracer to this simulation so span ids are minted per shard
-    // (identical across thread counts) and log appends from worker
-    // contexts are deferred to window barriers.
-    if (auto* tr = trace::maybe(t)) tr->bind(&simulator(), dht_.size());
     channel_.set_tracer(t);
     dht_.set_tracer(t);
   }
@@ -444,9 +439,8 @@ class HyperSubSystem {
   };
 
   // -- live state transfer (join/leave tentpole) ------------------------------
-  // One outbound session per old owner and one warm buffer per joiner, each
-  // touched only on its own host's shard — handlers run where the transfer
-  // messages land, so the protocol is deterministic under --threads=N.
+  // One outbound session per old owner and one warm buffer per joiner;
+  // handlers run where the transfer messages land.
 
   /// Outbound handover at the old owner: snapshot already shipped; every
   /// in-range mutation is applied locally AND queued as a zone-local replay
@@ -514,9 +508,8 @@ class HyperSubSystem {
                         std::uint32_t iid, const pubsub::Subscription& sub);
 
   // -- path-compressed structural zone chains (zone_chain.hpp) ---------------
-  // All chain state lives in the owning node's ZoneChainSet and is mutated
-  // only on that node's shard, so compression is parallel-deterministic for
-  // free. Every helper below is a no-op (or unreachable) when
+  // All chain state lives in the owning node's ZoneChainSet. Every helper
+  // below is a no-op (or unreachable) when
   // compress_enabled() is false — the uncompressed paths are byte-for-byte
   // the pre-compression behavior.
 
@@ -643,21 +636,15 @@ class HyperSubSystem {
   /// the subid payload bytes actually sent, counted in both modes).
   std::uint64_t cover_subid_bytes_saved_ = 0;
   std::uint64_t subid_wire_bytes_ = 0;
-  /// Per-event cost accounting. The map itself (and every Tracker inside)
-  /// is mutated only from the main context: worker-side touches ride
-  /// Simulator::defer_ordered closures applied in deterministic order at
-  /// the window barrier (which run inline — hence unchanged — in
-  /// sequential mode).
+  /// Per-event cost accounting.
   std::unordered_map<std::uint64_t, Tracker> trackers_;
-  /// Chunks awaiting this timestep's flush, keyed per sender (so each
-  /// entry is touched only on the sender's shard) by next hop.
+  /// Chunks awaiting this timestep's flush, keyed per sender by next hop.
   std::vector<std::map<net::HostIndex, std::vector<FrameChunk>>> batches_;
   /// Per-host, per-event delivered (subscriber node id, iid) pairs:
   /// end-to-end duplicate suppression under reliable delivery
   /// (retransmitted subtrees can re-match the same subscription through a
-  /// different path). Split per subscriber host so each set is touched
-  /// only on that host's shard. Only populated when reliable_delivery;
-  /// cleared by reset_metrics().
+  /// different path). Split per subscriber host. Only populated when
+  /// reliable_delivery; cleared by reset_metrics().
   std::vector<
       std::unordered_map<std::uint64_t, std::set<std::pair<Id, std::uint32_t>>>>
       delivered_subs_;
@@ -667,14 +654,12 @@ class HyperSubSystem {
   /// Live-transfer machinery, indexed by host (see TransferOut/WarmState).
   std::vector<TransferOut> transfers_out_;
   std::vector<WarmState> warm_;
-  /// Global transfer counters; shard-context touches ride defer_ordered.
+  /// Global transfer counters.
   JoinStats join_stats_;
 
   // Event-delivery scratch, reused across process_event_message calls to
-  // keep the hot path allocation-free, one set per worker slot (slot 0 is
-  // the sequential/main context). No reentrant call can observe a half-used
-  // buffer: every network send/schedule is asynchronous, and two messages
-  // processed concurrently live on different worker slots.
+  // keep the hot path allocation-free. No reentrant call can observe a
+  // half-used buffer: every network send/schedule is asynchronous.
   struct Scratch {
     std::vector<SubId> pending;
     std::vector<Id> keys;
@@ -682,7 +667,7 @@ class HyperSubSystem {
     std::vector<std::uint32_t> cand;
     std::vector<ZoneState*> zones;
   };
-  std::array<Scratch, sim::Simulator::kMaxWorkers + 1> scratch_;
+  Scratch scratch_;
 };
 
 }  // namespace hypersub::core

@@ -62,7 +62,7 @@ class Subscheme {
   Id rotation_;
   /// Memo of zone -> rotated key. The value is a pure function of the
   /// zone, so which thread inserts it is irrelevant to determinism, but
-  /// the map itself is shared by every shard (parallel engine) — guarded
+  /// the map itself is shared by bulk_subscribe's setup threads — guarded
   /// by a reader/writer lock, behind a pointer so Subscheme stays movable.
   struct KeyCache {
     mutable std::shared_mutex mu;

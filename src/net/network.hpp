@@ -6,19 +6,9 @@
 // node) fall out of one accounting point. Latency of a message equals the
 // topology's one-way delay between the two hosts; host-local processing is
 // treated as free, matching the paper's packet-level model.
-//
-// Parallel-engine integration: delivery handlers are scheduled on the
-// destination host's shard (the handler touches the receiver's state), the
-// one-way delay is clamped to the simulator's conservative lookahead (so a
-// message sent inside a window can never land inside the same window on
-// another shard), and traffic counters written from worker contexts
-// accumulate into per-worker deltas folded at each window barrier — the
-// sums are commutative, so totals are byte-identical to a sequential run.
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/wire.hpp"
@@ -46,8 +36,7 @@ class Network {
   sim::Simulator& simulator() noexcept { return sim_; }
   const Topology& topology() const noexcept { return topo_; }
 
-  /// Deliver `handler` at the destination after the one-way latency
-  /// (clamped to the simulator's lookahead), on the destination's shard.
+  /// Deliver `handler` at the destination after the one-way latency.
   /// Accounts `bytes` against both endpoints. Messages to self are delivered
   /// after `local_delay_ms` (default 0) without traffic accounting.
   /// Messages to dead hosts are dropped (counted in dropped()).
@@ -60,16 +49,6 @@ class Network {
   void revive(HostIndex h);
   bool alive(HostIndex h) const { return alive_[h]; }
 
-  /// Derive the simulator's lookahead floor from the minimum outstanding
-  /// link latency (Topology::min_latency_bound over live hosts) and keep it
-  /// current across kill()/revive(). Because no live link delivers below
-  /// the floor, the delay clamp never fires and behavior is unchanged —
-  /// the parallel engine just gets the widest window that is still
-  /// conservative. Call before run(); membership changes re-derive the
-  /// floor from exclusive context, preserving byte-identical determinism.
-  void enable_adaptive_lookahead();
-  bool adaptive_lookahead() const noexcept { return adaptive_lookahead_; }
-
   const HostTraffic& traffic(HostIndex h) const { return traffic_[h]; }
   /// Zero all traffic counters (e.g., after warm-up/stabilization).
   void reset_traffic();
@@ -79,26 +58,11 @@ class Network {
   std::uint64_t dropped() const noexcept { return dropped_; }
 
   /// Checkpoint liveness + traffic counters. Call only at quiescence (no
-  /// in-flight messages; worker deltas folded).
+  /// in-flight messages).
   void save_state(common::ByteWriter& w) const;
-  /// Restore; re-derives the adaptive lookahead floor if enabled.
   void restore_state(common::ByteReader& r);
 
  private:
-  /// Counter increments made by one worker during one window; folded into
-  /// the real counters at the window barrier (merge hook).
-  struct SlotDelta {
-    std::vector<std::pair<HostIndex, HostTraffic>> items;
-    std::uint64_t total_messages = 0;
-    std::uint64_t total_bytes = 0;
-    std::uint64_t dropped = 0;
-  };
-
-  void account_send(HostIndex from, HostIndex to, std::uint64_t bytes);
-  void account_drop();
-  void fold_deltas();
-  void refresh_lookahead_floor();
-
   sim::Simulator& sim_;
   const Topology& topo_;
   std::vector<HostTraffic> traffic_;
@@ -106,8 +70,6 @@ class Network {
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t dropped_ = 0;
-  bool adaptive_lookahead_ = false;
-  std::array<SlotDelta, sim::Simulator::kMaxWorkers + 1> deltas_;
 };
 
 }  // namespace hypersub::net

@@ -33,8 +33,7 @@ std::vector<std::uint8_t> checkpoint(core::HyperSubSystem& sys,
 /// Rebuild a freshly constructed stack from a checkpoint blob: advances
 /// the simulator clock to the checkpointed time, restores network /
 /// overlay / system state, then (if the blob carries one) attaches and
-/// restores the tracer — set_tracer runs before the tracer's own
-/// restore_state so its shard binding matches this simulation.
+/// restores the tracer.
 void restore(core::HyperSubSystem& sys, const std::vector<std::uint8_t>& blob,
              trace::Tracer* tracer = nullptr);
 

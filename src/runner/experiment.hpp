@@ -56,13 +56,6 @@ struct ExperimentConfig {
   // tracing (observability; off unless a tracer is supplied — the sample
   // rate is system.trace_sample_rate)
   trace::Tracer* tracer = nullptr;   ///< span recorder for the whole stack
-  // parallel engine (defaults = sequential, zero-lookahead: seed behavior)
-  unsigned sim_threads = 1;    ///< worker threads; >1 enables sharded runs
-  double lookahead_ms = 0.0;   ///< min network latency = safe window width
-  /// Derive each window's width from the minimum outstanding link latency
-  /// instead of the fixed lookahead_ms floor (identical event order in
-  /// sequential and parallel modes; see sim::Simulator).
-  bool adaptive_lookahead = false;
   // setup fast path (million-subscription scale-out)
   /// Install subscriptions through HyperSubSystem::bulk_subscribe (direct
   /// oracle installation + one piece fixpoint) instead of simulating the

@@ -24,10 +24,7 @@ namespace hypersub::trace {
 /// Identifies one causal tree (one published event, one subscription
 /// installation, one migration handoff). 0 = not traced.
 using TraceId = std::uint64_t;
-/// Identifies one span within a Tracer. 0 = none. Ids encode the execution
-/// context (shard) that allocated them in the high bits, so the parallel
-/// engine can mint them without coordination and still match a sequential
-/// run bit-for-bit.
+/// Identifies one span within a Tracer. 0 = none.
 using SpanId = std::uint64_t;
 
 inline constexpr TraceId kNoTrace = 0;

@@ -1,9 +1,5 @@
 #include "trace/tracer.hpp"
 
-#include <cassert>
-
-#include "sim/simulator.hpp"
-
 namespace hypersub::trace {
 
 const char* to_string(SpanKind k) noexcept {
@@ -38,14 +34,10 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-/// Contexts are packed into the id's top 24 bits; 2^40 ids per context is
-/// far beyond any simulated workload.
-constexpr unsigned kCtxShift = 40;
-
 /// Ambient trace context. Thread-local rather than a tracer member so that
-/// parallel workers (and run_experiments_parallel's per-experiment threads)
-/// each see their own slot; the set/take pair is always synchronous within
-/// one event execution on one thread.
+/// run_experiments_parallel's per-experiment threads each see their own
+/// slot; the set/take pair is always synchronous within one event execution
+/// on one thread.
 thread_local TraceCtx g_ambient;
 
 }  // namespace
@@ -58,19 +50,6 @@ TraceCtx Tracer::take_ambient() noexcept {
   return c;
 }
 
-void Tracer::bind(sim::Simulator* sim, std::size_t max_shards) {
-  sim_ = sim;
-  // Preserve context 0's counters across a re-bind so ids stay unique.
-  trace_ctr_.resize(max_shards + 1, 0);
-  span_ctr_.resize(max_shards + 1, 0);
-}
-
-std::size_t Tracer::context_index() const noexcept {
-  if (sim_ == nullptr) return 0;
-  const sim::Shard s = sim_->current_shard();
-  return s == sim::kNoShard ? 0 : std::size_t{s} + 1;
-}
-
 bool Tracer::sampled(TraceId id, double sample_rate) noexcept {
   if (sample_rate >= 1.0) return true;
   if (sample_rate <= 0.0) return false;
@@ -81,51 +60,21 @@ bool Tracer::sampled(TraceId id, double sample_rate) noexcept {
 }
 
 TraceId Tracer::start_trace(double sample_rate) {
-  const std::size_t ctx = context_index();
-  assert(ctx < trace_ctr_.size() && "tracer bound with too few shards");
-  const TraceId id = (TraceId(ctx + 1) << kCtxShift) | ++trace_ctr_[ctx];
+  const TraceId id = ++trace_ctr_;
   return sampled(id, sample_rate) ? id : kNoTrace;
-}
-
-std::uint64_t Tracer::traces_started() const noexcept {
-  std::uint64_t n = 0;
-  for (const std::uint64_t c : trace_ctr_) n += c;
-  return n;
-}
-
-void Tracer::append(const Span& s) {
-  if (spans_.size() >= cfg_.max_spans) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  index_.emplace(s.id, spans_.size());
-  spans_.push_back(s);
-}
-
-void Tracer::set_end(SpanId id, double end_ms) {
-  if (const auto it = index_.find(id); it != index_.end()) {
-    spans_[it->second].end_ms = end_ms;
-  }
 }
 
 SpanId Tracer::begin(TraceId trace, SpanId parent, SpanKind kind,
                      net::HostIndex node, double start_ms, std::uint64_t a,
                      std::uint64_t b) {
   if (trace == kNoTrace) return kNoSpan;
-  // Approximate admission check: spans_ is only mutated at window barriers
-  // (or directly in sequential mode), so reading its size from a worker is
-  // race-free but does not count same-window pending appends; append()
-  // re-checks the cap so the bound itself is hard.
   if (spans_.size() >= cfg_.max_spans) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     return kNoSpan;
   }
-  const std::size_t ctx = context_index();
-  assert(ctx < span_ctr_.size() && "tracer bound with too few shards");
-  const SpanId id = (SpanId(ctx + 1) << kCtxShift) | ++span_ctr_[ctx];
   Span s;
   s.trace = trace;
-  s.id = id;
+  s.id = ++span_ctr_;
   s.parent = parent;
   s.kind = kind;
   s.node = node;
@@ -133,20 +82,15 @@ SpanId Tracer::begin(TraceId trace, SpanId parent, SpanKind kind,
   s.end_ms = -1.0;
   s.a = a;
   s.b = b;
-  if (sim_ != nullptr && sim_->in_worker_context()) {
-    sim_->defer_ordered([this, s] { append(s); });
-  } else {
-    append(s);
-  }
-  return id;
+  index_.emplace(s.id, spans_.size());
+  spans_.push_back(s);
+  return s.id;
 }
 
 void Tracer::end(SpanId id, double end_ms) {
   if (id == kNoSpan) return;
-  if (sim_ != nullptr && sim_->in_worker_context()) {
-    sim_->defer_ordered([this, id, end_ms] { set_end(id, end_ms); });
-  } else {
-    set_end(id, end_ms);
+  if (const auto it = index_.find(id); it != index_.end()) {
+    spans_[it->second].end_ms = end_ms;
   }
 }
 

@@ -40,17 +40,6 @@ struct RunOpts {
   // (instead of all-fresh) so quench/promotion paths actually execute.
   bool cover = false;
   double sample_rate = 1.0;
-  // Parallel engine: >1 worker threads shard execution by host. Lookahead
-  // clamps the minimum network latency in BOTH modes, so the sequential
-  // reference must use the same value as the parallel run it is compared
-  // against.
-  unsigned threads = 1;
-  double lookahead = 0.0;
-  // Derive the lookahead floor from the topology's minimum live link
-  // latency (Network::enable_adaptive_lookahead). Must be set on the
-  // sequential reference too: the floor also delays cross-shard control
-  // handoffs, so it is part of the compared configuration.
-  bool adaptive = false;
 };
 
 /// One full simulated run: build, subscribe, (optionally churn), publish,
@@ -62,13 +51,7 @@ RunOutput run_once(RunOpts o) {
   tp.seed = 13;
   net::KingLikeTopology topo(tp);
   sim::Simulator sim;
-  sim.set_threads(o.threads);
-  sim.set_lookahead(o.lookahead);
   net::Network net(sim, topo);
-  if (o.adaptive) {
-    net.enable_adaptive_lookahead();
-    EXPECT_GT(sim.lookahead_floor(), 0.0);
-  }
   chord::ChordNet::Params cp;
   cp.seed = 13;
   cp.reliable_routing = o.reliable;
@@ -188,97 +171,6 @@ TEST(Determinism, SampledTracingIsReproducibleAndStableAcrossRates) {
     EXPECT_EQ(filtered[i].a, a.spans[i].a);
     EXPECT_EQ(filtered[i].b, a.spans[i].b);
   }
-}
-
-// --- parallel engine ---------------------------------------------------
-// A run with N worker threads must be byte-identical to the sequential run
-// with the same lookahead: same metrics JSON, same span log (ids included),
-// same delivery count. This is the engine's whole contract — threads are a
-// pure speed knob.
-
-constexpr double kLookahead = 5.0;
-constexpr unsigned kThreadCounts[] = {2, 4, 8};
-
-void expect_parallel_matches_sequential(RunOpts o) {
-  o.threads = 1;
-  o.lookahead = kLookahead;
-  const RunOutput seq = run_once(o);
-  for (const unsigned threads : kThreadCounts) {
-    o.threads = threads;
-    expect_identical(seq, run_once(o));
-  }
-}
-
-TEST(ParallelDeterminism, BaselineMatchesSequential) {
-  expect_parallel_matches_sequential({});
-}
-
-TEST(ParallelDeterminism, FastLaneMatchesSequential) {
-  expect_parallel_matches_sequential(
-      {.cache = true, .batch = true, .load_balance = true});
-}
-
-TEST(ParallelDeterminism, ChurnWithReliabilityMatchesSequential) {
-  expect_parallel_matches_sequential(
-      {.reliable = true, .replicas = 2, .churn = true});
-}
-
-TEST(ParallelDeterminism, CoverAggregationMatchesSequential) {
-  // Quench/promotion bookkeeping is per-zone state on the owner's shard,
-  // and the cover counters are commutative sums — thread count must not
-  // show anywhere, pool-workload duplicates included.
-  expect_parallel_matches_sequential({.load_balance = true, .cover = true});
-}
-
-TEST(ParallelDeterminism, SampledTracingMatchesSequential) {
-  expect_parallel_matches_sequential({.sample_rate = 0.5});
-}
-
-TEST(ParallelDeterminism, AdaptiveLookaheadMatchesSequential) {
-  // No explicit lookahead at all: the adaptive floor (minimum live link
-  // latency) is what admits parallel execution, and work-stealing windows
-  // under it must still match the sequential run byte for byte.
-  RunOpts o{};
-  o.adaptive = true;
-  const RunOutput seq = run_once(o);
-  for (const unsigned threads : kThreadCounts) {
-    o.threads = threads;
-    expect_identical(seq, run_once(o));
-  }
-}
-
-TEST(ParallelDeterminism, AdaptiveLookaheadUnderChurnMatchesSequential) {
-  // Node failures shrink the live set; kill() re-derives the floor between
-  // windows. The re-derivation itself must be thread-count independent.
-  RunOpts o{.reliable = true, .replicas = 2, .churn = true};
-  o.adaptive = true;
-  const RunOutput seq = run_once(o);
-  for (const unsigned threads : kThreadCounts) {
-    o.threads = threads;
-    expect_identical(seq, run_once(o));
-  }
-}
-
-TEST(ParallelDeterminism, AdaptiveFloorStacksWithExplicitLookahead) {
-  // effective = max(lookahead, floor): an explicit lookahead below the
-  // floor changes nothing relative to the floor alone.
-  RunOpts o{};
-  o.adaptive = true;
-  o.lookahead = 1e-6;
-  o.threads = 4;
-  RunOpts floor_only{};
-  floor_only.adaptive = true;
-  expect_identical(run_once(floor_only), run_once(o));
-}
-
-TEST(ParallelDeterminism, LookaheadZeroFallsBackToSequential) {
-  // threads without lookahead cannot parallelize safely; the simulator
-  // runs such configurations sequentially and stays identical to the
-  // plain sequential run (this also covers the seed configuration:
-  // lookahead defaults to 0, so existing setups are untouched).
-  RunOpts par{};
-  par.threads = 4;
-  expect_identical(run_once({}), run_once(par));
 }
 
 }  // namespace

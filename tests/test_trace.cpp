@@ -121,6 +121,70 @@ TEST(TracerUnit, ResetClearsSpansButKeepsIdsUnique) {
   EXPECT_NE(s1, s2);  // span ids are not reused across a reset
 }
 
+TEST(TracerUnit, RestoresImageWithPerContextCounterBlocks) {
+  // An image whose counter blocks hold one counter per execution context,
+  // with ids carrying the context in bits 40 and up.
+  const auto ctx_id = [](std::uint64_t ctx, std::uint64_t n) {
+    return ((ctx + 1) << 40) | n;
+  };
+  common::ByteWriter w;
+  w.u32(3);  // trace counters: contexts 0, 1, 2
+  for (const std::uint64_t c : {4u, 2u, 5u}) w.u64(c);
+  w.u32(3);  // span counters
+  for (const std::uint64_t c : {6u, 0u, 3u}) w.u64(c);
+  w.u64(1);  // dropped spans
+  const std::vector<Span> old_spans = {
+      {ctx_id(0, 4), ctx_id(0, 6), kNoSpan, SpanKind::kPublish, 3, 1.0, -1.0,
+       7, 0},
+      {ctx_id(2, 5), ctx_id(2, 3), kNoSpan, SpanKind::kMigrate, 9, 2.0, 2.5,
+       1, 2}};
+  w.u64(old_spans.size());
+  for (const Span& s : old_spans) {
+    w.u64(s.trace);
+    w.u64(s.id);
+    w.u64(s.parent);
+    w.u8(std::uint8_t(s.kind));
+    w.u64(std::uint64_t(s.node));
+    w.f64(s.start_ms);
+    w.f64(s.end_ms);
+    w.u64(s.a);
+    w.u64(s.b);
+  }
+  const std::vector<std::uint8_t> image = w.take();
+
+  Tracer t;
+  common::ByteReader r(image);
+  t.restore_state(r);
+  EXPECT_EQ(t.traces_started(), 11u);  // 4 + 2 + 5
+  EXPECT_EQ(t.dropped_spans(), 1u);
+  ASSERT_EQ(t.spans(), old_spans);
+  // A restored open span can still be closed by its id.
+  t.end(old_spans[0].id, 4.0);
+  EXPECT_DOUBLE_EQ(t.spans()[0].end_ms, 4.0);
+
+  // Ids minted after the restore never collide with restored ones.
+  std::set<std::uint64_t> traces{old_spans[0].trace, old_spans[1].trace};
+  std::set<std::uint64_t> spans{old_spans[0].id, old_spans[1].id};
+  for (int i = 0; i < 50; ++i) {
+    const auto tid = t.start_trace(1.0);
+    EXPECT_TRUE(traces.insert(tid).second) << "trace id " << tid;
+    const auto sid = t.point(tid, kNoSpan, SpanKind::kPublish, 0, 5.0);
+    EXPECT_TRUE(spans.insert(sid).second) << "span id " << sid;
+  }
+  EXPECT_EQ(t.traces_started(), 61u);
+
+  // A tracer saved after the restore round-trips its counters.
+  common::ByteWriter w2;
+  t.save_state(w2);
+  const std::vector<std::uint8_t> image2 = w2.take();
+  Tracer u;
+  common::ByteReader r2(image2);
+  u.restore_state(r2);
+  EXPECT_EQ(u.traces_started(), t.traces_started());
+  EXPECT_EQ(u.spans(), t.spans());
+  EXPECT_EQ(u.start_trace(1.0), t.start_trace(1.0));
+}
+
 // ---------------------------------------------------------------------------
 // System scaffolding
 // ---------------------------------------------------------------------------

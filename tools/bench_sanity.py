@@ -34,15 +34,12 @@ Subcommands:
       delivery parity against that baseline is enforced (compression is a
       representation change, not a behavior change).
 
-  sim FRESH.json [--floor T:S ...]
-      Validate a fresh micro_sim run (self-relative): every thread count
-      must have produced the byte-identical snapshot hash (the parallel
-      engine's determinism contract — always enforced), the Task SBO
-      store+invoke must not be slower than std::function, and — only when
-      the host actually has at least as many cores as the thread count —
-      the parallel events/sec must clear the speedup floor over the
-      sequential run (defaults 2:1.3 4:2.0 8:3.0). On a 1-2 core CI box
-      the floors are skipped; determinism is not.
+  sim FRESH.json
+      Validate a fresh micro_sim run (self-relative): the repeated runs of
+      the same workload must have produced the byte-identical snapshot
+      hash (the engine's determinism contract), the dominant capture shape
+      must fit Task's inline buffer, and the Task SBO store+invoke must not
+      be slower than std::function.
 
   trace FRESH.json [--max-overhead F]
       Validate the tracing-overhead contract from the same micro_route
@@ -301,41 +298,30 @@ def cmd_scale(args):
 
 
 # ---------------------------------------------------------------------------
-# sim: parallel engine determinism (always) + speedup floors (cores permitting)
+# sim: sequential engine determinism + Task small-buffer storage
 # ---------------------------------------------------------------------------
-
-def parse_floors(specs):
-    floors = {}
-    for spec in specs:
-        threads, _, factor = spec.partition(":")
-        floors[int(threads)] = float(factor)
-    return floors
-
 
 def cmd_sim(args):
     doc = load_json(args.fresh)
-    runs = {r["threads"]: r for r in doc.get("runs", [])}
-    if 1 not in runs:
-        sys.exit(f"error: {args.fresh} has no sequential (threads=1) run")
-    cores = doc.get("host", {}).get("cores",
-                                    doc.get("hardware_concurrency", 0))
-    floors = parse_floors(args.floor)
-    seq = runs[1]
+    runs = doc.get("runs", [])
+    if len(runs) < 2:
+        sys.exit(f"error: {args.fresh} needs at least two runs of the "
+                 f"workload (rerun bench/micro_sim)")
 
     print(f"sim engine ({doc.get('nodes')} nodes, {doc.get('events')} "
-          f"events, lookahead {doc.get('lookahead_ms')} ms, "
-          f"{cores} cores):")
+          f"events, {len(runs)} runs):")
 
     failures = []
 
-    # Determinism: byte-identical output regardless of thread count.
-    hashes = {t: r["snapshot_hash"] for t, r in sorted(runs.items())}
-    for t, h in hashes.items():
-        marker = "" if h == seq["snapshot_hash"] else "  <-- DIVERGES"
-        print(f"  threads={t}: hash {h}{marker}")
+    # Determinism: the same seeded workload gives the same snapshot hash.
+    ref = runs[0]["snapshot_hash"]
+    for r in runs:
+        marker = "" if r["snapshot_hash"] == ref else "  <-- DIVERGES"
+        print(f"  run {r.get('run', '?')}: {r['events_per_sec']:.0f} "
+              f"events/sec, hash {r['snapshot_hash']}{marker}")
     if not doc.get("deterministic", False) or \
-            any(h != seq["snapshot_hash"] for h in hashes.values()):
-        failures.append("parallel run is not byte-identical to sequential")
+            any(r["snapshot_hash"] != ref for r in runs):
+        failures.append("repeated runs are not byte-identical")
 
     # Task SBO: inlining the dominant capture shape must beat the
     # heap-allocating std::function path.
@@ -351,22 +337,6 @@ def cmd_sim(args):
             failures.append("Task store+invoke slower than std::function")
     else:
         failures.append("json lacks task_sbo section (rerun bench/micro_sim)")
-
-    # Speedup floors: only meaningful when the host has the cores.
-    for threads, floor in sorted(floors.items()):
-        if threads not in runs:
-            continue
-        speedup = runs[threads]["events_per_sec"] / seq["events_per_sec"]
-        if cores >= threads:
-            verdict = "ok" if speedup >= floor else "FAIL"
-            print(f"  threads={threads}: {speedup:.2f}x "
-                  f"(floor {floor:.1f}x) {verdict}")
-            if speedup < floor:
-                failures.append(f"threads={threads} speedup {speedup:.2f}x "
-                                f"below floor {floor:.1f}x")
-        else:
-            print(f"  threads={threads}: {speedup:.2f}x "
-                  f"(floor skipped: host has {cores} cores)")
 
     for msg in failures:
         print(f"FAIL: {msg}")
@@ -541,13 +511,8 @@ def main():
                          "the pre-compression baseline (default 0.25)")
     sc.set_defaults(fn=cmd_scale)
 
-    s = sub.add_parser("sim", help="parallel engine determinism + speedup")
+    s = sub.add_parser("sim", help="engine determinism + Task SBO")
     s.add_argument("fresh", help="freshly produced BENCH_sim.json")
-    s.add_argument("--floor", action="append",
-                   default=["2:1.3", "4:2.0", "8:3.0"],
-                   help="THREADS:SPEEDUP floor, repeatable "
-                        "(defaults 2:1.3 4:2.0 8:3.0; enforced only when "
-                        "the host has >= THREADS cores)")
     s.set_defaults(fn=cmd_sim)
 
     t = sub.add_parser("trace", help="tracing overhead + usefulness gate")
