@@ -28,9 +28,9 @@
 // the recorded per-point peak RSS.
 //
 // Each point also records the zone-tree memory breakdown (materialized
-// zones, compressed-chain records, key indexes) separately from
-// subscription storage; --mem-breakdown prints it, --no-compress disables
-// path-compressed zone chains for before/after comparisons.
+// zones, piece-zone records, key indexes) separately from subscription
+// storage; --mem-breakdown prints it, --no-compress materializes every
+// piece-only zone for before/after comparisons.
 
 #include <chrono>
 #include <cstdio>
@@ -76,10 +76,9 @@ struct PointResult {
   // compression target (zone_tree_bytes) separated from subscription
   // storage (sub_bytes) so the sanity gate can compare representations.
   std::size_t materialized_zones = 0;
-  std::size_t chain_records = 0;
-  std::size_t implicit_zones = 0;
+  std::size_t implicit_zones = 0;  ///< piece-zone records
   std::size_t zone_materialized_bytes = 0;
-  std::size_t zone_chain_bytes = 0;
+  std::size_t zone_record_bytes = 0;
   std::size_t zone_index_bytes = 0;
   std::size_t zone_tree_bytes = 0;
   std::size_t sub_bytes = 0;
@@ -95,7 +94,7 @@ struct RunOpts {
   double mean_interarrival_ms = 0.5;
   unsigned setup_threads = 1;
   bool legacy = false;     ///< simulated install cascade (pre-arena path)
-  bool compress = true;    ///< path-compressed structural zone chains
+  bool compress = true;    ///< piece-only zones as compact records
   trace::Tracer* tracer = nullptr;
   double trace_sample_rate = 1.0;
 };
@@ -151,10 +150,9 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   for (net::HostIndex h = 0; h < nodes; ++h) {
     const auto b = sys.node(h).memory_breakdown();
     mb.materialized_zones += b.materialized_zones;
-    mb.chain_records += b.chain_records;
     mb.implicit_zones += b.implicit_zones;
     mb.zone_bytes += b.zone_bytes;
-    mb.chain_bytes += b.chain_bytes;
+    mb.record_bytes += b.record_bytes;
     mb.key_index_bytes += b.key_index_bytes;
     mb.sub_bytes += b.sub_bytes;
   }
@@ -184,10 +182,9 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   r.setup_seconds = secs_between(t0, t1);
   r.peak_rss_bytes = bench::peak_rss_bytes();
   r.materialized_zones = mb.materialized_zones;
-  r.chain_records = mb.chain_records;
   r.implicit_zones = mb.implicit_zones;
   r.zone_materialized_bytes = mb.zone_bytes;
-  r.zone_chain_bytes = mb.chain_bytes;
+  r.zone_record_bytes = mb.record_bytes;
   r.zone_index_bytes = mb.key_index_bytes;
   r.zone_tree_bytes = mb.zone_tree_bytes();
   r.sub_bytes = mb.sub_bytes;
@@ -215,11 +212,11 @@ void print_mem_breakdown(const PointResult& r) {
   const double mib = 1024.0 * 1024.0;
   std::printf(
       "[micro_scale]   zone tree: %.1f MiB "
-      "(materialized %zu zones = %.1f MiB, %zu chains / %zu implicit zones "
+      "(materialized %zu zones = %.1f MiB, %zu piece-zone records "
       "= %.1f MiB, key index %.1f MiB); subscriptions: %.1f MiB\n",
       double(r.zone_tree_bytes) / mib, r.materialized_zones,
-      double(r.zone_materialized_bytes) / mib, r.chain_records,
-      r.implicit_zones, double(r.zone_chain_bytes) / mib,
+      double(r.zone_materialized_bytes) / mib, r.implicit_zones,
+      double(r.zone_record_bytes) / mib,
       double(r.zone_index_bytes) / mib, double(r.sub_bytes) / mib);
 }
 
@@ -339,17 +336,16 @@ int main(int argc, char** argv) {
                  "  {\"nodes\": %zu, \"subs_per_node\": %zu, \"subs\": %zu, "
                  "\"setup_seconds\": %.3f, "
                  "\"peak_rss_bytes\": %zu, "
-                 "\"materialized_zones\": %zu, \"chain_records\": %zu, "
-                 "\"implicit_zones\": %zu, "
+                 "\"materialized_zones\": %zu, \"implicit_zones\": %zu, "
                  "\"zone_materialized_bytes\": %zu, "
-                 "\"zone_chain_bytes\": %zu, \"zone_index_bytes\": %zu, "
+                 "\"zone_record_bytes\": %zu, \"zone_index_bytes\": %zu, "
                  "\"zone_tree_bytes\": %zu, \"sub_bytes\": %zu, "
                  "\"events_per_sec\": %.0f, "
                  "\"deliveries\": %llu, \"snapshot_hash\": \"%016llx\"}%s\n",
                  r.nodes, r.subs_per_node, r.subs, r.setup_seconds,
-                 r.peak_rss_bytes, r.materialized_zones, r.chain_records,
-                 r.implicit_zones, r.zone_materialized_bytes,
-                 r.zone_chain_bytes, r.zone_index_bytes, r.zone_tree_bytes,
+                 r.peak_rss_bytes, r.materialized_zones, r.implicit_zones,
+                 r.zone_materialized_bytes, r.zone_record_bytes,
+                 r.zone_index_bytes, r.zone_tree_bytes,
                  r.sub_bytes, r.events_per_sec,
                  (unsigned long long)r.deliveries,
                  (unsigned long long)r.snapshot_hash,

@@ -174,7 +174,7 @@ std::size_t HyperSubNode::load() const {
 std::size_t HyperSubNode::stored_entries() const {
   std::size_t n = 0;
   for (const auto& [addr, z] : zones_) n += z.entry_count();
-  n += chains_.total_span();  // one piece entry per implicit member
+  n += piece_zones_.size();  // one piece entry per record
   for (const auto& [tok, repo] : migrated_in_) n += repo.subs.size();
   return n;
 }
@@ -182,8 +182,7 @@ std::size_t HyperSubNode::stored_entries() const {
 HyperSubNode::ZoneMemoryBreakdown HyperSubNode::memory_breakdown() const {
   ZoneMemoryBreakdown b;
   b.materialized_zones = zones_.size();
-  b.chain_records = chains_.size();
-  b.implicit_zones = chains_.total_span();
+  b.implicit_zones = piece_zones_.size();
 
   // Hashed-container overhead estimate for the node-based maps: one bucket
   // pointer per bucket plus, per node, next pointer + cached hash on top of
@@ -200,7 +199,7 @@ HyperSubNode::ZoneMemoryBreakdown HyperSubNode::memory_breakdown() const {
   tally_zone_map(zones_);
   tally_zone_map(replica_zones_);
 
-  b.chain_bytes = chains_.memory_bytes();
+  b.record_bytes = piece_zones_.memory_bytes();
 
   const auto tally_key_index = [&](const auto& by_key) {
     b.key_index_bytes += by_key.memory_bytes();
@@ -246,23 +245,13 @@ void save_keyed_zones(common::ByteWriter& w, const ZoneMap& zones,
   }
 }
 
-// Canonical chain order for serialization: tails are unique across live
-// chains (a zone belongs to at most one), so (scheme, subscheme, tail)
-// totally orders them.
-bool chain_before(const CompressedChain& a, const CompressedChain& b) {
-  if (a.scheme != b.scheme) return a.scheme < b.scheme;
-  if (a.subscheme != b.subscheme) return a.subscheme < b.subscheme;
-  if (a.tail.level != b.tail.level) return a.tail.level < b.tail.level;
-  return a.tail.code < b.tail.code;
-}
-
 }  // namespace
 
 void HyperSubNode::save(common::ByteWriter& w, std::uint32_t version) const {
   assert(version >= 1 && version <= common::kWireVersion);
-  // v1 images have no chain section; a node carrying chains cannot be
-  // downgraded (callers decompress or bump the version first).
-  assert(version >= 2 || chains_.empty());
+  // v1 images have no piece-zone section; a node holding records cannot
+  // be downgraded.
+  assert(version >= 2 || piece_zones_.empty());
   w.u32(iid_counter_);
   w.u32(token_counter_);
 
@@ -285,17 +274,15 @@ void HyperSubNode::save(common::ByteWriter& w, std::uint32_t version) const {
   save_keyed_zones(w, replica_zones_, replicas_by_key_);
 
   if (version >= 2) {
-    std::vector<const CompressedChain*> order;
-    order.reserve(chains_.size());
-    chains_.for_each([&](std::uint32_t, const CompressedChain& c) {
-      order.push_back(&c);
-    });
+    std::vector<const PieceZone*> order;
+    order.reserve(piece_zones_.size());
+    piece_zones_.for_each([&](const PieceZone& z) { order.push_back(&z); });
     std::sort(order.begin(), order.end(),
-              [](const CompressedChain* a, const CompressedChain* b) {
-                return chain_before(*a, *b);
+              [](const PieceZone* a, const PieceZone* b) {
+                return canonical_order(*a, *b);
               });
     w.u32(std::uint32_t(order.size()));
-    for (const CompressedChain* c : order) save_chain(w, *c);
+    for (const PieceZone* z : order) save_piece_frame(w, *z);
   }
 
   std::vector<std::uint32_t> tokens;
@@ -317,7 +304,8 @@ void HyperSubNode::save(common::ByteWriter& w, std::uint32_t version) const {
   }
 }
 
-void HyperSubNode::restore(common::ByteReader& r, std::uint32_t version) {
+void HyperSubNode::restore(common::ByteReader& r, std::uint32_t version,
+                           const ZoneSystemOf& zones_of) {
   assert(version >= 1 && version <= common::kWireVersion);
   local_entries_.clear();
   local_pool_.clear();
@@ -366,9 +354,10 @@ void HyperSubNode::restore(common::ByteReader& r, std::uint32_t version) {
   load_keyed(replica_zones_, replicas_by_key_);
 
   if (version >= 2) {
-    const std::uint32_t n_chains = r.u32();
-    for (std::uint32_t i = 0; i < n_chains; ++i) {
-      chains_.insert(load_chain(r));
+    const std::uint32_t n_frames = r.u32();
+    for (std::uint32_t i = 0; i < n_frames; ++i) {
+      load_piece_frame(r, zones_of,
+                       [&](PieceZone z) { piece_zones_.insert(std::move(z)); });
     }
   }
 
@@ -393,7 +382,7 @@ void HyperSubNode::reset_surrogate_state() {
   zones_by_key_.clear();
   replica_zones_.clear();
   replicas_by_key_.clear();
-  chains_.clear();
+  piece_zones_.clear();
   migrated_in_.clear();
 }
 

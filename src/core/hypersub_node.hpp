@@ -4,13 +4,14 @@
 // overloaded peers.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/wire.hpp"
 #include "core/flat_map.hpp"
-#include "core/zone_chain.hpp"
+#include "core/piece_zones.hpp"
 #include "core/zone_state.hpp"
 #include "net/topology.hpp"
 
@@ -88,10 +89,10 @@ class HyperSubNode {
     return zones_;
   }
 
-  /// Path-compressed structural zone chains hosted by this node (populated
-  /// only when the system's compression is enabled; see zone_chain.hpp).
-  ZoneChainSet& chains() noexcept { return chains_; }
-  const ZoneChainSet& chains() const noexcept { return chains_; }
+  /// Piece-only zones hosted by this node as compact records (populated
+  /// only when the system's compression is enabled; see piece_zones.hpp).
+  PieceZoneSet& piece_zones() noexcept { return piece_zones_; }
+  const PieceZoneSet& piece_zones() const noexcept { return piece_zones_; }
 
   // -- replicated zone state (robustness extension) ---------------------------
 
@@ -135,9 +136,9 @@ class HyperSubNode {
   std::size_t load() const;
 
   /// Piece-inclusive storage footprint: everything in load() plus the
-  /// summary-filter pieces registered into hosted zones. Implicit chain
-  /// members count one piece entry each, so the footprint is independent
-  /// of whether a structural zone is materialized or compressed.
+  /// summary-filter pieces registered into hosted zones. A piece-zone
+  /// record counts one piece entry, so the footprint is independent of
+  /// whether a piece-only zone is materialized or a record.
   std::size_t stored_entries() const;
 
   /// Attributable memory estimate of this node's pub/sub state, split so
@@ -146,15 +147,14 @@ class HyperSubNode {
   /// (capacities, not sizes; map overhead approximated).
   struct ZoneMemoryBreakdown {
     std::size_t materialized_zones = 0;  ///< ZoneState count
-    std::size_t chain_records = 0;       ///< CompressedChain count
-    std::size_t implicit_zones = 0;      ///< sum of chain spans
+    std::size_t implicit_zones = 0;      ///< PieceZone record count
     std::size_t zone_bytes = 0;       ///< ZoneState structs + structural heap
-    std::size_t chain_bytes = 0;      ///< chain records + chain key index
+    std::size_t record_bytes = 0;     ///< PieceZone records + their key index
     std::size_t key_index_bytes = 0;  ///< zones_by_key_ map + addr vectors
     std::size_t sub_bytes = 0;  ///< SubStores + local store + migrated repos
 
     std::size_t zone_tree_bytes() const noexcept {
-      return zone_bytes + chain_bytes + key_index_bytes;
+      return zone_bytes + record_bytes + key_index_bytes;
     }
   };
   ZoneMemoryBreakdown memory_breakdown() const;
@@ -163,18 +163,23 @@ class HyperSubNode {
 
   /// Serialize everything this node hosts: subscriber-side store, hosted
   /// zones (keyed, preserving per-key registration order), replica zones,
-  /// compressed chains (wire v2+), migrated-in buckets, and the id/token
-  /// counters. Map iteration is by sorted key, so the bytes are
-  /// deterministic. Writing a v1 image requires an empty chain set.
+  /// piece-zone records (wire v2+, one-zone frames), migrated-in buckets,
+  /// and the id/token counters. Map iteration is by sorted key, so the
+  /// bytes are deterministic. Writing a v1 image requires no records.
   void save(common::ByteWriter& w,
             std::uint32_t version = common::kWireVersion) const;
 
-  /// Rebuild from save()'s encoding; replaces all current state. `version`
-  /// is the image's format (v1 images carry no chain section).
-  void restore(common::ByteReader& r,
-               std::uint32_t version = common::kWireVersion);
+  /// Resolves (scheme, subscheme) to its zone system; restore needs it to
+  /// expand multi-zone frames of the piece-zone section.
+  using ZoneSystemOf =
+      std::function<const lph::ZoneSystem&(std::uint32_t, std::uint32_t)>;
 
-  /// Drop all surrogate-side state (hosted zones, replicas, chains,
+  /// Rebuild from save()'s encoding; replaces all current state. `version`
+  /// is the image's format (v1 images carry no piece-zone section).
+  void restore(common::ByteReader& r, std::uint32_t version,
+               const ZoneSystemOf& zones_of);
+
+  /// Drop all surrogate-side state (hosted zones, replicas, piece zones,
   /// migrated-in buckets) ahead of a protocol rejoin: the node re-acquires
   /// zone state through transfer. Subscriber-side entries and the iid
   /// counter are kept — this node's own subscriptions stay installed in
@@ -208,7 +213,7 @@ class HyperSubNode {
   FlatMap<Id, std::vector<ZoneAddr>> zones_by_key_;
   std::unordered_map<ZoneAddr, ZoneState, ZoneAddrHash> replica_zones_;
   FlatMap<Id, std::vector<ZoneAddr>> replicas_by_key_;
-  ZoneChainSet chains_;
+  PieceZoneSet piece_zones_;
   std::unordered_map<std::uint32_t, MigratedRepo> migrated_in_;
 };
 

@@ -4,8 +4,10 @@
 #include <cassert>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "core/state_wire.hpp"
 
@@ -187,8 +189,8 @@ void HyperSubSystem::remove_subscription_at(net::HostIndex owner,
   HyperSubNode& nd = *nodes_[owner];
   if (compress_enabled() && nd.zones().find(addr) == nd.zones().end()) {
     // Under compression a removal miss must not materialize a husk; a
-    // compressed chain member cannot hold subscriptions, so there is
-    // nothing to remove either way.
+    // piece-zone record holds no subscriptions, so there is nothing to
+    // remove either way.
     return;
   }
   ZoneState& zs = nd.zone_state(addr, rotated_key);
@@ -210,7 +212,7 @@ void HyperSubSystem::remove_subscription_at(net::HostIndex owner,
     propagate_pieces(owner, addr);
   }
   // The removal may have drained the zone down to a bare summary-filter
-  // piece; fold it back into a compressed chain.
+  // piece; turn it back into a record.
   try_absorb_zone(owner, addr, rotated_key);
 }
 
@@ -339,8 +341,7 @@ std::vector<SubscriptionHandle> HyperSubSystem::bulk_subscribe(
     }
   });
 
-  // Phase C — one sequential top-down piece fixpoint per subscheme
-  // (skipped under ancestor probing, exactly like the routed path). A
+  // Phase C — one sequential top-down piece fixpoint per subscheme. A
   // summary piece only flows parent -> child, and a zone's outgoing pieces
   // depend on its parent piece, so processing pending zones by ascending
   // level reaches the same fixpoint the drained install cascade converges
@@ -352,175 +353,109 @@ std::vector<SubscriptionHandle> HyperSubSystem::bulk_subscribe(
   // start; zone keys are computed directly (lph::zone_key) and carried in
   // the queue entries rather than going through the Subscheme's memoized
   // key cache, which would grow by one mutex-guarded map entry per zone.
-  if (!cfg_.ancestor_probing) {
-    const bool comp = compress_enabled();
-    struct PendingZone {
-      std::uint32_t ssi = 0;
-      Id code = 0;
-      Id key = 0;  // rotated zone key (a pure function of ssi + zone)
-    };
-    int max_level = 0;
-    for (std::uint32_t ssi = 0; ssi < rt.subscheme_count(); ++ssi) {
-      max_level = std::max(max_level, rt.subscheme(ssi).zones().max_level());
-    }
-    std::vector<std::vector<PendingZone>> pending(std::size_t(max_level) + 1);
-    for (const Planned& p : plan) {
-      pending[std::size_t(p.zone.level)].push_back({p.ssi, p.zone.code, p.key});
-    }
-    // The cascade only appends below the current level; the planning and
-    // input buffers are dead weight from here on, so release them before
-    // the tree-sized allocation wave defines peak RSS.
-    plan = {};
-    subs = {};
-    for (int level = 0; level <= max_level; ++level) {
-      auto& batch = pending[std::size_t(level)];
-      std::sort(batch.begin(), batch.end(),
-                [](const PendingZone& a, const PendingZone& b) {
-                  return a.ssi != b.ssi ? a.ssi < b.ssi : a.code < b.code;
-                });
-      batch.erase(std::unique(batch.begin(), batch.end(),
-                              [](const PendingZone& a, const PendingZone& b) {
-                                return a.ssi == b.ssi && a.code == b.code;
-                              }),
-                  batch.end());
-      for (const PendingZone& pz : batch) {
-        const Subscheme& ss = rt.subscheme(pz.ssi);
-        const lph::ZoneSystem& zsys = ss.zones();
-        const int bb = zsys.base_bits();
-        const lph::Zone zone{pz.code, level};
-        if (zsys.is_leaf(zone)) continue;
-        const net::HostIndex host =
-            ring[bulk_owner_index(ring_ids, pz.key)].host;
-        const ZoneAddr addr{scheme, pz.ssi, zone};
-        HyperSubNode& nd = *nodes_[host];
-        const auto zit = nd.zones().find(addr);
-        ZoneState* zs = zit == nd.zones().end() ? nullptr : &zit->second;
-        // Under compression a pending structural zone lives in a chain
-        // created or extended earlier in this pass; its summary is the
-        // derived rect, and — because a zone is enqueued exactly when it
-        // first gets a piece, before its own children are visited — it is
-        // that chain's tail. (An interior member's children already carry
-        // their derived state; nothing to do.)
-        std::uint32_t cid = ZoneChainSet::kNone;
-        HyperRect summary;
+  const bool comp = compress_enabled();
+  struct PendingZone {
+    std::uint32_t ssi = 0;
+    Id code = 0;
+    Id key = 0;  // rotated zone key (a pure function of ssi + zone)
+  };
+  int max_level = 0;
+  for (std::uint32_t ssi = 0; ssi < rt.subscheme_count(); ++ssi) {
+    max_level = std::max(max_level, rt.subscheme(ssi).zones().max_level());
+  }
+  std::vector<std::vector<PendingZone>> pending(std::size_t(max_level) + 1);
+  for (const Planned& p : plan) {
+    pending[std::size_t(p.zone.level)].push_back({p.ssi, p.zone.code, p.key});
+  }
+  // The cascade only appends below the current level; the planning and
+  // input buffers are dead weight from here on, so release them before
+  // the tree-sized allocation wave defines peak RSS.
+  plan = {};
+  subs = {};
+  for (int level = 0; level <= max_level; ++level) {
+    auto& batch = pending[std::size_t(level)];
+    std::sort(batch.begin(), batch.end(),
+              [](const PendingZone& a, const PendingZone& b) {
+                return a.ssi != b.ssi ? a.ssi < b.ssi : a.code < b.code;
+              });
+    batch.erase(std::unique(batch.begin(), batch.end(),
+                            [](const PendingZone& a, const PendingZone& b) {
+                              return a.ssi == b.ssi && a.code == b.code;
+                            }),
+                batch.end());
+    for (const PendingZone& pz : batch) {
+      const Subscheme& ss = rt.subscheme(pz.ssi);
+      const lph::ZoneSystem& zsys = ss.zones();
+      const lph::Zone zone{pz.code, level};
+      if (zsys.is_leaf(zone)) continue;
+      const net::HostIndex host = ring[bulk_owner_index(ring_ids, pz.key)].host;
+      const ZoneAddr addr{scheme, pz.ssi, zone};
+      HyperSubNode& nd = *nodes_[host];
+      const auto zit = nd.zones().find(addr);
+      ZoneState* zs = zit == nd.zones().end() ? nullptr : &zit->second;
+      // Without a ZoneState a pending zone is a record (compression on);
+      // its summary is its piece.
+      HyperRect summary;
+      if (zs != nullptr) {
+        summary = zs->summary();
+      } else if (const PieceZone* rec =
+                     comp ? nd.piece_zones().find(addr, pz.key) : nullptr) {
+        summary = rec->piece;
+      } else {
+        continue;
+      }
+      for (int digit = 0; digit < zsys.base(); ++digit) {
+        const lph::Zone child = zsys.child(zone, digit);
+        HyperRect piece;
+        if (!summary.empty()) {
+          const HyperRect ext = zsys.extent(child);
+          if (summary.overlaps(ext)) piece = summary.intersect(ext);
+        }
         if (zs != nullptr) {
-          summary = zs->summary();
-        } else {
-          if (!comp) continue;
-          cid = nd.chains().find_containing(scheme, pz.ssi, zone, pz.key, bb);
-          if (cid == ZoneChainSet::kNone) continue;
-          const CompressedChain& c = nd.chains().get(cid);
-          if (!(c.tail == zone)) continue;
-          const HyperRect ext = zsys.extent(zone);
-          if (c.piece.overlaps(ext)) summary = c.piece.intersect(ext);
+          if (piece == zs->child_piece(digit)) continue;
+          zs->set_child_piece(digit, piece);
+        } else if (piece.empty()) {
+          continue;  // a record's empty child pieces hold no state below
         }
-        // A chain may only grow through a sole non-empty child piece.
-        int nonempty_children = 0;
-        if (cid != ZoneChainSet::kNone && !summary.empty()) {
-          for (int digit = 0; digit < zsys.base(); ++digit) {
-            if (summary.overlaps(zsys.extent(zsys.child(zone, digit))))
-              ++nonempty_children;
+        const ZoneAddr child_addr{scheme, pz.ssi, child};
+        const Id child_key = lph::zone_key(zsys, child, ss.rotation());
+        const net::HostIndex child_host =
+            ring[bulk_owner_index(ring_ids, child_key)].host;
+        if (cfg_.replicas > 0) {
+          for (const auto& peer : dht_.replica_set(child_host, cfg_.replicas)) {
+            nodes_[peer.host]
+                ->replica_zone_state(child_addr, child_key)
+                .set_parent_piece(piece, pz.key);
           }
         }
-        for (int digit = 0; digit < zsys.base(); ++digit) {
-          const lph::Zone child = zsys.child(zone, digit);
-          HyperRect piece;
-          if (!summary.empty()) {
-            const HyperRect ext = zsys.extent(child);
-            if (summary.overlaps(ext)) piece = summary.intersect(ext);
-          }
-          if (zs != nullptr) {
-            if (piece == zs->child_piece(digit)) continue;
-            zs->set_child_piece(digit, piece);
-          } else if (piece.empty()) {
-            continue;  // chained parent: no implicit state below this edge
-          }
-          const ZoneAddr child_addr{scheme, pz.ssi, child};
-          const Id child_key = lph::zone_key(zsys, child, ss.rotation());
-          const net::HostIndex child_host =
-              ring[bulk_owner_index(ring_ids, child_key)].host;
-          if (cfg_.replicas > 0) {
-            for (const auto& peer :
-                 dht_.replica_set(child_host, cfg_.replicas)) {
-              nodes_[peer.host]
-                  ->replica_zone_state(child_addr, child_key)
-                  .set_parent_piece(piece, pz.key);
-            }
-          }
-          if (!comp) {
-            ZoneState& czs =
-                nodes_[child_host]->zone_state(child_addr, child_key);
-            if (czs.set_parent_piece(std::move(piece), pz.key)) {
-              pending[std::size_t(child.level)].push_back(
-                  {pz.ssi, child.code, child_key});
-            }
-            continue;
-          }
-          // Compression: apply at the child without materializing husks.
-          // The cascade from an empty tree only ever grows pieces, so a
-          // child with no state and an empty piece needs nothing.
-          HyperSubNode& cnd = *nodes_[child_host];
-          if (const auto cit = cnd.zones().find(child_addr);
-              cit != cnd.zones().end()) {
-            if (cit->second.set_parent_piece(std::move(piece), pz.key)) {
-              pending[std::size_t(child.level)].push_back(
-                  {pz.ssi, child.code, child_key});
-            }
-            continue;
-          }
-          if (const std::uint32_t ccid = cnd.chains().find_containing(
-                  scheme, pz.ssi, child, child_key, bb);
-              ccid != ZoneChainSet::kNone) {
-            // Re-entrant build over an already-compressed tree. If the
-            // member's derived state already equals the incoming piece the
-            // install is a no-op; otherwise split the member out and apply
-            // normally.
-            {
-              const CompressedChain& cc = cnd.chains().get(ccid);
-              const HyperRect ext = zsys.extent(child);
-              HyperRect derived;
-              if (cc.piece.overlaps(ext)) derived = cc.piece.intersect(ext);
-              if (derived == piece && cc.parent_key_at(child.level) == pz.key)
-                continue;
-            }
-            materialize_if_chained(child_host, child_addr, child_key);
-            if (cnd.zone_state(child_addr, child_key)
-                    .set_parent_piece(std::move(piece), pz.key)) {
-              pending[std::size_t(child.level)].push_back(
-                  {pz.ssi, child.code, child_key});
-            }
-            continue;
-          }
-          if (piece.empty()) continue;
-          // Fresh structural child: grow the parent's chain when this is
-          // its sole non-empty child on the same node, else start a new
-          // single-member chain. Either way the child joins the queue (its
-          // piece grew from nothing).
-          if (cid != ZoneChainSet::kNone && nonempty_children == 1 &&
-              child_host == host) {
-            CompressedChain grown = nd.chains().get(cid);
-            nd.chains().erase(cid);
-            grown.tail = child;
-            grown.span += 1;
-            grown.level_keys.push_back(child_key);
-            cid = nd.chains().insert(std::move(grown));
-          } else {
-            CompressedChain fresh;
-            fresh.scheme = scheme;
-            fresh.subscheme = pz.ssi;
-            fresh.tail = child;
-            fresh.span = 1;
-            fresh.piece = std::move(piece);
-            fresh.parent_key = pz.key;
-            fresh.level_keys.assign(1, child_key);
-            cnd.chains().insert(std::move(fresh));
-          }
+        HyperSubNode& cnd = *nodes_[child_host];
+        bool grew = false;
+        if (!comp) {
+          grew = cnd.zone_state(child_addr, child_key)
+                     .set_parent_piece(std::move(piece), pz.key);
+        } else if (const auto cit = cnd.zones().find(child_addr);
+                   cit != cnd.zones().end()) {
+          grew = cit->second.set_parent_piece(std::move(piece), pz.key);
+        } else if (PieceZone* rec =
+                       cnd.piece_zones().find(child_addr, child_key)) {
+          // Pieces only grow in this pass, so the record stays non-empty.
+          grew = !(rec->piece == piece);
+          rec->piece = std::move(piece);
+          rec->parent_key = pz.key;
+        } else if (!piece.empty()) {
+          // Compression: a fresh piece-only child is a record, never a
+          // husk-prone ZoneState.
+          cnd.piece_zones().insert(
+              PieceZone{child_addr, child_key, pz.key, std::move(piece)});
+          grew = true;
+        }
+        if (grew) {
           pending[std::size_t(child.level)].push_back(
               {pz.ssi, child.code, child_key});
         }
       }
-      batch = {};  // processed — free before the next level's wave
     }
+    batch = {};  // processed — free before the next level's wave
   }
   return handles;
 }
@@ -555,16 +490,15 @@ void HyperSubSystem::register_subscription_at(net::HostIndex owner,
     // Write-behind: apply locally below AND queue a zone-local replay.
     queue_transfer_op(t, install_bytes(stored.projected.dimensions()),
                       [this, to = t.target, addr, rotated_key, stored] {
-                        materialize_if_chained(to, addr, rotated_key);
+                        materialize_piece_zone(to, addr, rotated_key);
                         nodes_[to]
                             ->zone_state(addr, rotated_key)
                             .add_subscription(stored);
                       });
   }
-  // A compressed chain member can't hold subscriptions: split it out into a
-  // real ZoneState first (no-op when compression is off or nothing covers
-  // the address).
-  materialize_if_chained(owner, addr, rotated_key);
+  // A record can't hold subscriptions: turn it into a ZoneState first
+  // (no-op when no record sits at the address).
+  materialize_piece_zone(owner, addr, rotated_key);
   HyperSubNode& nd = *nodes_[owner];
   ZoneState& zs = nd.zone_state(addr, rotated_key);
   if (cfg_.replicas > 0) {
@@ -580,7 +514,7 @@ void HyperSubSystem::register_subscription_at(net::HostIndex owner,
     }
   }
   const bool grew = zs.add_subscription(std::move(stored));
-  if (grew && !cfg_.ancestor_probing) propagate_pieces(owner, addr);
+  if (grew) propagate_pieces(owner, addr);
 }
 
 void HyperSubSystem::register_piece_at(net::HostIndex owner,
@@ -615,16 +549,16 @@ void HyperSubSystem::register_piece_at(net::HostIndex owner,
                        parent_key] {
                         // Zone-local replay at the transfer target: the old
                         // owner already cascaded to the children, so a
-                        // materialized zone just takes the value. A
-                        // compressed target restructures its chain; the
-                        // deltas it routes are idempotent at the receivers.
+                        // materialized zone just takes the value. A record
+                        // target routes its child deltas too; they are
+                        // idempotent at the receivers.
                         HyperSubNode& tn = *nodes_[to];
                         if (const auto it = tn.zones().find(addr);
                             it != tn.zones().end()) {
                           it->second.set_parent_piece(piece, parent_key);
                         } else if (compress_enabled()) {
-                          chain_install_piece(to, addr, rotated_key, piece,
-                                              parent_key);
+                          record_install_piece(to, addr, rotated_key, piece,
+                                               parent_key);
                         } else {
                           tn.zone_state(addr, rotated_key)
                               .set_parent_piece(piece, parent_key);
@@ -633,11 +567,11 @@ void HyperSubSystem::register_piece_at(net::HostIndex owner,
   }
   HyperSubNode& nd = *nodes_[owner];
   if (compress_enabled() && nd.zones().find(addr) == nd.zones().end()) {
-    // Structural zone with no materialized state: absorb the piece into the
-    // path-compressed chain representation (replicas are 0 whenever
-    // compression is on, so the replica fan-out below is dead here).
-    chain_install_piece(owner, addr, rotated_key, std::move(piece),
-                        parent_key);
+    // No materialized state: the zone is (or becomes) a record. Replicas
+    // are 0 whenever compression is on, so the replica fan-out below is
+    // dead here.
+    record_install_piece(owner, addr, rotated_key, std::move(piece),
+                         parent_key);
     return;
   }
   ZoneState& zs = nd.zone_state(addr, rotated_key);
@@ -660,8 +594,8 @@ void HyperSubSystem::register_piece_at(net::HostIndex owner,
   }
   const bool changed = zs.set_parent_piece(std::move(piece), parent_key);
   if (changed) propagate_pieces(owner, addr);
-  // If the zone was already a bare piece holder (or just became one), fold
-  // it into a chain; no-op with compression off or while it stores more.
+  // If the zone was already a bare piece holder (or just became one), turn
+  // it into a record; no-op with compression off or while it stores more.
   try_absorb_zone(owner, addr, rotated_key);
 }
 
@@ -700,75 +634,23 @@ void HyperSubSystem::propagate_pieces(net::HostIndex host,
 }
 
 // ---------------------------------------------------------------------------
-// Path-compressed structural zone chains
+// Piece-zone records
 //
-// All chain state lives in the owning node's ZoneChainSet. Pieces still
-// enter a chain only through its head (children of the tail receive routed
-// register_piece_at like before), which is what lets a cascade cross a
-// whole chain in one step instead of one hop per level.
+// A record is the whole state of a piece-only zone. Pieces reach it through
+// register_piece_at like any zone, and it hands piece ∩ extent(child) to its
+// children one level at a time, exactly as a materialized piece-only zone
+// would, so cascades route the same messages either way.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Derived rectangle a chain stores implicitly at member `z`: the head
-/// piece clipped to the member's extent. Extents nest along the chain, so
-/// this is simultaneously the member's installed parent piece and its
-/// summary.
-HyperRect chain_rect_at(const CompressedChain& c, const lph::ZoneSystem& zsys,
-                        const lph::Zone& z) {
-  const HyperRect ext = zsys.extent(z);
-  if (c.piece.empty() || !c.piece.overlaps(ext)) return HyperRect{};
-  return c.piece.intersect(ext);
-}
-
-/// `down` can be appended to `up` as one chain: up's tail is down's head's
-/// parent, its only non-empty derived child piece is exactly down's head,
-/// that piece equals down's, and the stored parent key links match.
-bool chains_mergeable(const CompressedChain& up, const CompressedChain& down,
-                      const lph::ZoneSystem& zsys, int bb) {
-  if (up.scheme != down.scheme || up.subscheme != down.subscheme) return false;
-  const lph::Zone head = down.member(down.head_level(), bb);
-  if (head.level != up.tail.level + 1) return false;
-  if (zsys.is_leaf(up.tail)) return false;
-  if (!(zsys.parent(head) == up.tail)) return false;
-  if (down.parent_key != up.level_keys.back()) return false;
-  for (int digit = 0; digit < zsys.base(); ++digit) {
-    const lph::Zone ch = zsys.child(up.tail, digit);
-    const bool nonempty =
-        !up.piece.empty() && up.piece.overlaps(zsys.extent(ch));
-    if (nonempty != (ch.code == head.code)) return false;
-  }
-  return chain_rect_at(up, zsys, head) == down.piece;
-}
-
-/// Concatenate `up` + `down` into one record (callers check mergeability).
-CompressedChain chains_concat(const CompressedChain& up,
-                              const CompressedChain& down) {
-  CompressedChain m;
-  m.scheme = up.scheme;
-  m.subscheme = up.subscheme;
-  m.tail = down.tail;
-  m.span = up.span + down.span;
-  m.piece = up.piece;
-  m.parent_key = up.parent_key;
-  m.level_keys.reserve(up.level_keys.size() + down.level_keys.size());
-  m.level_keys = up.level_keys;
-  m.level_keys.insert(m.level_keys.end(), down.level_keys.begin(),
-                      down.level_keys.end());
-  return m;
-}
-
-}  // namespace
-
-void HyperSubSystem::route_tail_child_deltas(
-    net::HostIndex owner, std::uint32_t scheme, std::uint32_t subscheme,
-    const lph::Zone& tail, Id tail_key, const HyperRect& old_piece,
-    const HyperRect& new_piece) {
-  const Subscheme& ss = schemes_[scheme]->subscheme(subscheme);
+void HyperSubSystem::route_child_deltas(net::HostIndex owner,
+                                        const ZoneAddr& addr, Id rotated_key,
+                                        const HyperRect& old_piece,
+                                        const HyperRect& new_piece) {
+  const Subscheme& ss = schemes_[addr.scheme]->subscheme(addr.subscheme);
   const lph::ZoneSystem& zsys = ss.zones();
-  if (zsys.is_leaf(tail)) return;
+  if (zsys.is_leaf(addr.zone)) return;
   for (int digit = 0; digit < zsys.base(); ++digit) {
-    const lph::Zone child = zsys.child(tail, digit);
+    const lph::Zone child = zsys.child(addr.zone, digit);
     const HyperRect ext = zsys.extent(child);
     HyperRect oldp;
     if (!old_piece.empty() && old_piece.overlaps(ext))
@@ -777,359 +659,60 @@ void HyperSubSystem::route_tail_child_deltas(
     if (!new_piece.empty() && new_piece.overlaps(ext))
       newp = new_piece.intersect(ext);
     if (oldp == newp) continue;
-    const ZoneAddr child_addr{scheme, subscheme, child};
+    const ZoneAddr child_addr{addr.scheme, addr.subscheme, child};
     const Id child_key = lph::zone_key(zsys, child, ss.rotation());
     dht_.route(owner, child_key, install_bytes(ss.attributes().size()),
                [this, child_addr, child_key, piece = std::move(newp),
-                tail_key](const overlay::Overlay::RouteResult& r) {
+                rotated_key](const overlay::Overlay::RouteResult& r) {
                  register_piece_at(r.owner.host, child_addr, child_key, piece,
-                                   tail_key);
+                                   rotated_key);
                });
   }
 }
 
-void HyperSubSystem::chain_install_piece(net::HostIndex owner,
-                                         const ZoneAddr& addr, Id rotated_key,
-                                         HyperRect piece, Id parent_key) {
-  HyperSubNode& nd = *nodes_[owner];
-  const Subscheme& ss = schemes_[addr.scheme]->subscheme(addr.subscheme);
-  const lph::ZoneSystem& zsys = ss.zones();
-  const int bb = zsys.base_bits();
-
-  const std::uint32_t id = nd.chains().find_containing(
-      addr.scheme, addr.subscheme, addr.zone, rotated_key, bb);
-  if (id == ZoneChainSet::kNone) {
+void HyperSubSystem::record_install_piece(net::HostIndex owner,
+                                          const ZoneAddr& addr,
+                                          Id rotated_key, HyperRect piece,
+                                          Id parent_key) {
+  PieceZoneSet& recs = nodes_[owner]->piece_zones();
+  HyperRect old;
+  if (PieceZone* z = recs.find(addr, rotated_key)) {
+    if (z->piece == piece && z->parent_key == parent_key) return;
+    if (piece.empty()) {
+      old = std::move(recs.take(addr, rotated_key)->piece);
+    } else {
+      old = std::exchange(z->piece, piece);
+      z->parent_key = parent_key;
+    }
+  } else {
     if (piece.empty()) return;  // clearing a zone that stores nothing
-    // Fresh structural zone: a single-member chain, then the fresh-zone
-    // cascade to every child whose derived piece is non-empty.
-    CompressedChain c;
-    c.scheme = addr.scheme;
-    c.subscheme = addr.subscheme;
-    c.tail = addr.zone;
-    c.span = 1;
-    c.piece = std::move(piece);
-    c.parent_key = parent_key;
-    c.level_keys.assign(1, rotated_key);
-    const HyperRect sent = c.piece;
-    nd.chains().insert(std::move(c));
-    // Routing can resolve synchronously (the child's owner may be this very
-    // node), re-entering the chain machinery — so no chain ids or
-    // references survive across it; the merge re-resolves by address.
-    route_tail_child_deltas(owner, addr.scheme, addr.subscheme, addr.zone,
-                            rotated_key, HyperRect{}, sent);
-    chain_merge_at(owner, addr.scheme, addr.subscheme, addr.zone, rotated_key);
-    return;
+    recs.insert(PieceZone{addr, rotated_key, parent_key, piece});
   }
-
-  CompressedChain c = nd.chains().get(id);
-  const int level = addr.zone.level;
-  if (level > c.head_level()) {
-    // A piece reached a member below the head. The only legitimate such
-    // arrival is a converging duplicate of the member's derived state (an
-    // idempotent re-propagation after a merge or handover) — drop it.
-    // Anything else predates the chain's current shape: split the prefix
-    // off and re-run the install against the suffix headed here.
-    if (piece == chain_rect_at(c, zsys, addr.zone) &&
-        parent_key == c.parent_key_at(level)) {
-      return;
-    }
-    nd.chains().erase(id);
-    CompressedChain pre;
-    pre.scheme = c.scheme;
-    pre.subscheme = c.subscheme;
-    pre.tail = c.member(level - 1, bb);
-    pre.span = std::uint32_t(level - c.head_level());
-    pre.piece = c.piece;
-    pre.parent_key = c.parent_key;
-    pre.level_keys.assign(c.level_keys.begin(),
-                          c.level_keys.begin() + (level - c.head_level()));
-    nd.chains().insert(std::move(pre));
-    CompressedChain suf;
-    suf.scheme = c.scheme;
-    suf.subscheme = c.subscheme;
-    suf.tail = c.tail;
-    suf.span = std::uint32_t(c.tail.level - level + 1);
-    suf.piece = chain_rect_at(c, zsys, addr.zone);
-    suf.parent_key = c.parent_key_at(level);
-    suf.level_keys.assign(
-        c.level_keys.begin() + (level - c.head_level()),
-        c.level_keys.end());
-    chain_reshape(owner, std::move(suf), std::move(piece), parent_key);
-    return;
-  }
-
-  // Install at the head.
-  if (piece == c.piece && parent_key == c.parent_key) return;
-  nd.chains().erase(id);
-  chain_reshape(owner, std::move(c), std::move(piece), parent_key);
+  // Routes can resolve synchronously on this node and re-enter the record
+  // set, so no pointer into it is held across this call.
+  route_child_deltas(owner, addr, rotated_key, old, piece);
 }
 
-void HyperSubSystem::chain_reshape(net::HostIndex owner, CompressedChain old_c,
-                                   HyperRect piece, Id parent_key) {
-  HyperSubNode& nd = *nodes_[owner];
-  const Subscheme& ss = schemes_[old_c.scheme]->subscheme(old_c.subscheme);
-  const lph::ZoneSystem& zsys = ss.zones();
-  const int bb = zsys.base_bits();
-  const int head = old_c.head_level();
-  const int tail_level = old_c.tail.level;
-
-  if (piece.empty()) {
-    // The head stores nothing now: the whole chain dissolves. Only the old
-    // tail's children carry installed state derived from it (interior
-    // members' other children were empty by the chain invariant), so clear
-    // those and stop.
-    route_tail_child_deltas(owner, old_c.scheme, old_c.subscheme, old_c.tail,
-                            old_c.level_keys.back(), old_c.piece, HyperRect{});
-    return;
-  }
-
-  // Longest surviving prefix: member L stays interior while, under the new
-  // piece, exactly one of its children derives a non-empty piece and it is
-  // the stored next member.
-  int keep = head;
-  for (int L = head; L < tail_level; ++L) {
-    const lph::Zone zl = old_c.member(L, bb);
-    const lph::Zone next = old_c.member(L + 1, bb);
-    bool still_interior = true;
-    for (int digit = 0; digit < zsys.base(); ++digit) {
-      const lph::Zone ch = zsys.child(zl, digit);
-      const bool nonempty = piece.overlaps(zsys.extent(ch));
-      if (nonempty != (ch.code == next.code)) {
-        still_interior = false;
-        break;
-      }
-    }
-    if (!still_interior) break;
-    keep = L + 1;
-  }
-
-  CompressedChain pre;
-  pre.scheme = old_c.scheme;
-  pre.subscheme = old_c.subscheme;
-  pre.tail = old_c.member(keep, bb);
-  pre.span = std::uint32_t(keep - head + 1);
-  pre.piece = piece;
-  pre.parent_key = parent_key;
-  pre.level_keys.assign(old_c.level_keys.begin(),
-                        old_c.level_keys.begin() + (keep - head + 1));
-  nd.chains().insert(std::move(pre));
-
-  if (keep == tail_level) {
-    // Shape preserved head-to-tail: the whole cascade below collapses to
-    // one frontier diff at the old tail. The routed installs may re-enter
-    // synchronously and reshape this very chain, so `pid` is dead after the
-    // call — the merge re-resolves by address.
-    route_tail_child_deltas(owner, old_c.scheme, old_c.subscheme, old_c.tail,
-                            old_c.level_keys.back(), old_c.piece, piece);
-    chain_merge_at(owner, old_c.scheme, old_c.subscheme, old_c.member(head, bb),
-                   old_c.key_at(head));
-    return;
-  }
-
-  // The suffix [keep+1 .. old tail] detaches. It keeps its old derived
-  // state as its own chain, then takes whatever the new piece derives for
-  // its head (possibly empty, dissolving it) — exactly as if the parent
-  // had re-sent the piece down that edge.
-  const lph::Zone sh = old_c.member(keep + 1, bb);
-  const Id suf_parent = old_c.key_at(keep);
-  CompressedChain suf;
-  suf.scheme = old_c.scheme;
-  suf.subscheme = old_c.subscheme;
-  suf.tail = old_c.tail;
-  suf.span = std::uint32_t(tail_level - keep);
-  suf.piece = chain_rect_at(old_c, zsys, sh);
-  suf.parent_key = suf_parent;
-  suf.level_keys.assign(old_c.level_keys.begin() + (keep + 1 - head),
-                        old_c.level_keys.end());
-  HyperRect fresh;
-  {
-    const HyperRect ext = zsys.extent(sh);
-    if (piece.overlaps(ext)) fresh = piece.intersect(ext);
-  }
-  chain_reshape(owner, std::move(suf), std::move(fresh), suf_parent);
-
-  // New frontier at `keep`: children other than the old on-path member had
-  // empty derived pieces before; install any that are non-empty now.
-  const lph::Zone kz = old_c.member(keep, bb);
-  for (int digit = 0; digit < zsys.base(); ++digit) {
-    const lph::Zone ch = zsys.child(kz, digit);
-    if (ch.code == sh.code) continue;  // handled via the suffix above
-    const HyperRect ext = zsys.extent(ch);
-    if (!piece.overlaps(ext)) continue;
-    HyperRect np = piece.intersect(ext);
-    const ZoneAddr child_addr{old_c.scheme, old_c.subscheme, ch};
-    const Id child_key = lph::zone_key(zsys, ch, ss.rotation());
-    dht_.route(owner, child_key, install_bytes(ss.attributes().size()),
-               [this, child_addr, child_key, np = std::move(np),
-                pk = suf_parent](const overlay::Overlay::RouteResult& r) {
-                 register_piece_at(r.owner.host, child_addr, child_key, np,
-                                   pk);
-               });
-  }
-  chain_merge_at(owner, old_c.scheme, old_c.subscheme, old_c.member(head, bb),
-                 old_c.key_at(head));
-}
-
-void HyperSubSystem::chain_merge_at(net::HostIndex owner, std::uint32_t scheme,
-                                    std::uint32_t subscheme, const lph::Zone& z,
-                                    Id key) {
-  HyperSubNode& nd = *nodes_[owner];
-  const int bb = schemes_[scheme]->subscheme(subscheme).zones().base_bits();
-  const std::uint32_t id =
-      nd.chains().find_containing(scheme, subscheme, z, key, bb);
-  if (id != ZoneChainSet::kNone) chain_try_merge(owner, id);
-}
-
-std::uint32_t HyperSubSystem::chain_try_merge(net::HostIndex owner,
-                                              std::uint32_t id) {
-  HyperSubNode& nd = *nodes_[owner];
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    const CompressedChain& c = nd.chains().get(id);
-    const Subscheme& ss = schemes_[c.scheme]->subscheme(c.subscheme);
-    const lph::ZoneSystem& zsys = ss.zones();
-    const int bb = zsys.base_bits();
-
-    // Merge up: a chain on this node ending at our head's parent.
-    if (c.head_level() > 1) {
-      const lph::Zone head = c.member(c.head_level(), bb);
-      const lph::Zone par = zsys.parent(head);
-      const std::uint32_t up = nd.chains().find_containing(
-          c.scheme, c.subscheme, par, c.parent_key, bb);
-      if (up != ZoneChainSet::kNone && up != id) {
-        const CompressedChain& d = nd.chains().get(up);
-        if (d.tail == par && d.key_at(par.level) == c.parent_key &&
-            chains_mergeable(d, c, zsys, bb)) {
-          CompressedChain m = chains_concat(d, c);
-          nd.chains().erase(up);
-          nd.chains().erase(id);
-          id = nd.chains().insert(std::move(m));
-          progressed = true;
-          continue;
-        }
-      }
-    }
-
-    // Merge down: our tail's single non-empty derived child heads a chain
-    // on this node carrying exactly the derived state.
-    if (!zsys.is_leaf(c.tail)) {
-      int nonempty = 0;
-      lph::Zone only{};
-      for (int digit = 0; digit < zsys.base(); ++digit) {
-        const lph::Zone ch = zsys.child(c.tail, digit);
-        if (c.piece.overlaps(zsys.extent(ch))) {
-          ++nonempty;
-          only = ch;
-        }
-      }
-      if (nonempty == 1) {
-        const Id ck = lph::zone_key(zsys, only, ss.rotation());
-        const std::uint32_t dn = nd.chains().find_containing(
-            c.scheme, c.subscheme, only, ck, bb);
-        if (dn != ZoneChainSet::kNone && dn != id) {
-          const CompressedChain& s = nd.chains().get(dn);
-          if (s.head_level() == only.level && chains_mergeable(c, s, zsys, bb)) {
-            CompressedChain m = chains_concat(c, s);
-            nd.chains().erase(dn);
-            nd.chains().erase(id);
-            id = nd.chains().insert(std::move(m));
-            progressed = true;
-          }
-        }
-      }
-    }
-  }
-  return id;
-}
-
-void HyperSubSystem::materialize_if_chained(net::HostIndex owner,
+void HyperSubSystem::materialize_piece_zone(net::HostIndex owner,
                                             const ZoneAddr& addr,
                                             Id rotated_key) {
-  if (!compress_enabled()) return;
   HyperSubNode& nd = *nodes_[owner];
-  const Subscheme& ss = schemes_[addr.scheme]->subscheme(addr.subscheme);
-  const lph::ZoneSystem& zsys = ss.zones();
-  const int bb = zsys.base_bits();
-  const std::uint32_t id = nd.chains().find_containing(
-      addr.scheme, addr.subscheme, addr.zone, rotated_key, bb);
-  if (id == ZoneChainSet::kNone) return;
-  const CompressedChain c = nd.chains().get(id);
-  nd.chains().erase(id);
-  const int level = addr.zone.level;
-  const int head = c.head_level();
-  if (level > head) {
-    CompressedChain pre;
-    pre.scheme = c.scheme;
-    pre.subscheme = c.subscheme;
-    pre.tail = c.member(level - 1, bb);
-    pre.span = std::uint32_t(level - head);
-    pre.piece = c.piece;
-    pre.parent_key = c.parent_key;
-    pre.level_keys.assign(c.level_keys.begin(),
-                          c.level_keys.begin() + (level - head));
-    nd.chains().insert(std::move(pre));
-  }
-  if (level < c.tail.level) {
-    CompressedChain suf;
-    suf.scheme = c.scheme;
-    suf.subscheme = c.subscheme;
-    suf.tail = c.tail;
-    suf.span = std::uint32_t(c.tail.level - level);
-    suf.piece = chain_rect_at(c, zsys, c.member(level + 1, bb));
-    suf.parent_key = c.key_at(level);
-    suf.level_keys.assign(c.level_keys.begin() + (level + 1 - head),
-                          c.level_keys.end());
-    nd.chains().insert(std::move(suf));
-  }
-  // Materialize the member with its derived piece, seeding the child-piece
-  // cache with the derived values so the next propagate resends nothing.
-  const HyperRect rect = chain_rect_at(c, zsys, addr.zone);
-  const Id pk = c.parent_key_at(level);
+  std::optional<PieceZone> rec = nd.piece_zones().take(addr, rotated_key);
+  if (!rec) return;
+  // Seed the child-piece cache with the derived values so the next
+  // propagate resends nothing.
+  const lph::ZoneSystem& zsys =
+      schemes_[addr.scheme]->subscheme(addr.subscheme).zones();
   ZoneState& zs = nd.zone_state(addr, rotated_key);
-  zs.set_parent_piece(rect, pk);
-  if (!rect.empty() && !zsys.is_leaf(addr.zone)) {
+  if (!zsys.is_leaf(addr.zone)) {
     for (int digit = 0; digit < zsys.base(); ++digit) {
-      const lph::Zone ch = zsys.child(addr.zone, digit);
-      const HyperRect ext = zsys.extent(ch);
-      if (!rect.overlaps(ext)) continue;
-      zs.set_child_piece(digit, rect.intersect(ext));
+      const HyperRect ext = zsys.extent(zsys.child(addr.zone, digit));
+      if (rec->piece.overlaps(ext)) {
+        zs.set_child_piece(digit, rec->piece.intersect(ext));
+      }
     }
   }
-}
-
-void HyperSubSystem::drop_chain_member(HyperSubNode& nd, std::uint32_t id,
-                                       const lph::Zone& z) {
-  const CompressedChain c = nd.chains().get(id);
-  const Subscheme& ss = schemes_[c.scheme]->subscheme(c.subscheme);
-  const lph::ZoneSystem& zsys = ss.zones();
-  const int bb = zsys.base_bits();
-  nd.chains().erase(id);
-  const int head = c.head_level();
-  if (z.level > head) {
-    CompressedChain pre;
-    pre.scheme = c.scheme;
-    pre.subscheme = c.subscheme;
-    pre.tail = c.member(z.level - 1, bb);
-    pre.span = std::uint32_t(z.level - head);
-    pre.piece = c.piece;
-    pre.parent_key = c.parent_key;
-    pre.level_keys.assign(c.level_keys.begin(),
-                          c.level_keys.begin() + (z.level - head));
-    nd.chains().insert(std::move(pre));
-  }
-  if (z.level < c.tail.level) {
-    CompressedChain suf;
-    suf.scheme = c.scheme;
-    suf.subscheme = c.subscheme;
-    suf.tail = c.tail;
-    suf.span = std::uint32_t(c.tail.level - z.level);
-    suf.piece = chain_rect_at(c, zsys, c.member(z.level + 1, bb));
-    suf.parent_key = c.key_at(z.level);
-    suf.level_keys.assign(c.level_keys.begin() + (z.level + 1 - head),
-                          c.level_keys.end());
-    nd.chains().insert(std::move(suf));
-  }
+  zs.set_parent_piece(std::move(rec->piece), rec->parent_key);
 }
 
 void HyperSubSystem::try_absorb_zone(net::HostIndex owner, const ZoneAddr& addr,
@@ -1139,49 +722,31 @@ void HyperSubSystem::try_absorb_zone(net::HostIndex owner, const ZoneAddr& addr,
   const auto it = nd.zones().find(addr);
   if (it == nd.zones().end()) return;
   ZoneState& zs = it->second;
-  if (addr.zone.level < 1) return;  // the root never joins a chain
+  if (addr.zone.level < 1) return;  // the root has no parent piece
   if (zs.subscription_count() > 0 || !zs.buckets().empty()) return;
   if (!zs.has_parent_piece() || zs.parent_piece()->first.empty()) {
-    // Stores nothing at all: a husk (e.g. restored from an image taken
-    // before compression) — drop it outright.
+    // Stores nothing at all: a husk (e.g. restored from an image written
+    // without records) — drop it outright.
     if (zs.summary().empty()) nd.erase_zone(addr, rotated_key);
     return;
   }
-  const HyperRect piece = zs.parent_piece()->first;
-  const Id pk = zs.parent_piece()->second;
+  PieceZone rec{addr, rotated_key, zs.parent_piece()->second,
+                zs.parent_piece()->first};
   nd.erase_zone(addr, rotated_key);
-  CompressedChain c;
-  c.scheme = addr.scheme;
-  c.subscheme = addr.subscheme;
-  c.tail = addr.zone;
-  c.span = 1;
-  c.piece = piece;
-  c.parent_key = pk;
-  c.level_keys.assign(1, rotated_key);
-  chain_try_merge(owner, nd.chains().insert(std::move(c)));
+  nd.piece_zones().insert(std::move(rec));
 }
 
-void HyperSubSystem::repush_chain_frontiers(net::HostIndex host) {
-  if (!compress_enabled()) return;
-  HyperSubNode& nd = *nodes_[host];
-  if (nd.chains().empty()) return;
-  std::vector<CompressedChain> cs;
-  cs.reserve(nd.chains().size());
-  nd.chains().for_each(
-      [&](std::uint32_t, const CompressedChain& c) { cs.push_back(c); });
-  std::sort(cs.begin(), cs.end(),
-            [](const CompressedChain& a, const CompressedChain& b) {
-              return std::tie(a.scheme, a.subscheme, a.tail.level,
-                              a.tail.code) <
-                     std::tie(b.scheme, b.subscheme, b.tail.level,
-                              b.tail.code);
-            });
-  // Passing an empty "old" forces every non-empty derived tail child to be
+void HyperSubSystem::repush_piece_zones(net::HostIndex host) {
+  const PieceZoneSet& recs = nodes_[host]->piece_zones();
+  std::vector<PieceZone> order;
+  order.reserve(recs.size());
+  recs.for_each([&](const PieceZone& z) { order.push_back(z); });
+  std::sort(order.begin(), order.end(), canonical_order);
+  // Passing an empty "old" forces every non-empty child piece to be
   // re-sent; the installs are exact duplicates at up-to-date receivers and
   // repairs at stale ones.
-  for (const CompressedChain& c : cs) {
-    route_tail_child_deltas(host, c.scheme, c.subscheme, c.tail,
-                            c.level_keys.back(), HyperRect{}, c.piece);
+  for (const PieceZone& z : order) {
+    route_child_deltas(host, z.addr, z.key, HyperRect{}, z.piece);
   }
 }
 
@@ -1226,11 +791,10 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
   t.publish_time = simulator().now();
   t.root = ctx->root;
 
-  // Initial subid list: one rendezvous (leaf zone) per subscheme; in
-  // ancestor-probing mode additionally every ancestor zone. With the route
-  // cache on, rendezvous probes whose zone key has a cached owner skip the
-  // greedy route and are handed straight to that owner (fast lane); the
-  // rest ride normal routing from the publisher.
+  // Initial subid list: one rendezvous (leaf zone) per subscheme. With the
+  // route cache on, rendezvous probes whose zone key has a cached owner
+  // skip the greedy route and are handed straight to that owner (fast
+  // lane); the rest ride normal routing from the publisher.
   std::vector<SubId> list;
   std::vector<std::pair<net::HostIndex, SubId>> direct;
   ctx->rendezvous.reserve(rt.subscheme_count());
@@ -1254,13 +818,6 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
       direct.emplace_back(cached, rendezvous);
     } else {
       list.push_back(rendezvous);
-    }
-    if (cfg_.ancestor_probing) {
-      lph::Zone z = leaf;
-      while (z.level > 0) {
-        z = ss.zones().parent(z);
-        list.push_back(SubId{ss.zone_key(z), 0, SubIdKind::kZone});
-      }
     }
   }
 
@@ -1344,7 +901,7 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
   // per-neighbor sublists, which the send closures must own anyway.
   std::vector<SubId>& pending = scratch_.pending;
   pending.clear();
-  // One zone key can alias a whole rightmost zone chain, and a chain's
+  // One zone key can alias a whole rightmost zone path, and a zone's
   // parent pointer may target the same key the rendezvous already did —
   // process each key at most once per message. The handful of keys per
   // message makes a linear find over a flat vector cheaper than hashing.
@@ -1390,32 +947,16 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
           const Point& proj = ctx->projected[zs->addr().subscheme];
           zs->match(ctx->event.point, proj, list);
         }
-        // Implicit chain members indexed under this key. Each matches
-        // exactly like the piece-only ZoneState it replaces: the member's
-        // installed piece (head piece ∩ member extent) contains the
-        // projected point iff both factors do, and a match climbs by
-        // emitting the member's parent key. Members sharing one key sit on
-        // consecutive levels and their extents nest, so the first extent
-        // miss ends the run; the per-message key dedupe above absorbs
-        // re-emissions.
-        if (!nd.chains().empty()) {
-          nd.chains().for_each_at_key(
-              subid.target, [&](std::uint32_t, const CompressedChain& c) {
-                if (c.scheme != ctx->scheme) return;
-                const Subscheme& ss =
-                    schemes_[c.scheme]->subscheme(c.subscheme);
-                const lph::ZoneSystem& zsys = ss.zones();
-                const int bb = zsys.base_bits();
-                const Point& proj = ctx->projected[c.subscheme];
-                if (!c.piece.contains(proj)) return;
-                for (int L = c.head_level(); L <= c.tail.level; ++L) {
-                  if (c.key_at(L) != subid.target) continue;
-                  if (!zsys.extent(c.member(L, bb)).contains(proj)) break;
-                  list.push_back(
-                      SubId{c.parent_key_at(L), 0, SubIdKind::kZone});
-                }
-              });
-        }
+        // Records under this key match like the piece-only ZoneStates they
+        // replace: a piece containing the projected point climbs by
+        // emitting the parent key.
+        nd.piece_zones().for_each_at_key(
+            subid.target, [&](const PieceZone& z) {
+              if (z.addr.scheme == ctx->scheme &&
+                  z.piece.contains(ctx->projected[z.addr.subscheme])) {
+                list.push_back(SubId{z.parent_key, 0, SubIdKind::kZone});
+              }
+            });
         break;
       }
       case SubIdKind::kSubscriber: {
@@ -1964,170 +1505,85 @@ bool HyperSubSystem::check_zone_invariants() const {
         }
       }
     }
-    // Chain pass: every compressed chain must be a well-formed maximal run
-    // of piece-only zones — correct keys, a non-empty piece inside the
-    // head's extent, exactly one non-empty derived child piece at each
-    // interior member (the next member), and no materialized primary state
-    // shadowing any member.
-    bool chains_ok = true;
-    nd->chains().for_each([&](std::uint32_t, const CompressedChain& c) {
-      if (!chains_ok) return;
-      const SchemeRuntime& rt = *schemes_[c.scheme];
-      const Subscheme& ss = rt.subscheme(c.subscheme);
+    // Record pass: every record is a well-formed piece-only zone — below
+    // the root, a non-empty piece inside its extent, keys matching its
+    // address, and no materialized primary state at the same address.
+    bool records_ok = true;
+    nd->piece_zones().for_each([&](const PieceZone& z) {
+      if (!records_ok) return;
+      const Subscheme& ss =
+          schemes_[z.addr.scheme]->subscheme(z.addr.subscheme);
       const lph::ZoneSystem& zsys = ss.zones();
-      const int bb = zsys.base_bits();
-      if (c.span < 1 || c.head_level() < 1 ||
-          c.level_keys.size() != c.span) {
-        chains_ok = false;
-        return;
-      }
-      const lph::Zone head = c.member(c.head_level(), bb);
-      if (c.piece.empty() || !zsys.extent(head).covers(c.piece)) {
-        chains_ok = false;
-        return;
-      }
-      if (c.parent_key !=
-          lph::zone_key(zsys, zsys.parent(head), ss.rotation())) {
-        chains_ok = false;
-        return;
-      }
-      for (int L = c.head_level(); L <= c.tail.level; ++L) {
-        const lph::Zone z = c.member(L, bb);
-        if (c.key_at(L) != lph::zone_key(zsys, z, ss.rotation())) {
-          chains_ok = false;
-          return;
-        }
-        if (nd->zones().count(ZoneAddr{c.scheme, c.subscheme, z}) != 0) {
-          chains_ok = false;
-          return;
-        }
-        if (L < c.tail.level) {
-          const lph::Zone next = c.member(L + 1, bb);
-          for (int digit = 0; digit < zsys.base(); ++digit) {
-            const lph::Zone ch = zsys.child(z, digit);
-            const bool nonempty = c.piece.overlaps(zsys.extent(ch));
-            if (nonempty != (ch.code == next.code)) {
-              chains_ok = false;
-              return;
-            }
-          }
-        }
-      }
+      records_ok =
+          z.addr.zone.level >= 1 && !z.piece.empty() &&
+          zsys.extent(z.addr.zone).covers(z.piece) &&
+          z.key == lph::zone_key(zsys, z.addr.zone, ss.rotation()) &&
+          z.parent_key ==
+              lph::zone_key(zsys, zsys.parent(z.addr.zone), ss.rotation()) &&
+          !nd->zones().contains(z.addr);
     });
-    if (!chains_ok) return false;
+    if (!records_ok) return false;
   }
-  // Cross-node pass: the piece a parent zone caches for each child must
-  // equal the piece actually installed at the child zone's live owner —
-  // otherwise events filtered by the stale child piece die (or detour)
-  // between the two nodes. Only authoritative state is compared: the
-  // parent's host must still own the parent key, and exactly one live node
-  // may claim the child key (ownership is ambiguous mid-repair).
+  // Cross-node pass: the piece a parent zone hands each child (its cached
+  // child piece, or piece ∩ child extent for a record) must equal the piece
+  // actually installed at the child zone's live owner — otherwise events
+  // filtered by the stale child piece die (or detour) between the two
+  // nodes. Only authoritative state is compared: the parent's host must
+  // still own the parent key, and exactly one live node may claim the
+  // child key (ownership is ambiguous mid-repair).
+  const auto children_match = [&](net::HostIndex h, const ZoneAddr& addr,
+                                  Id my_key, const auto& sent_to) {
+    const Subscheme& ss = schemes_[addr.scheme]->subscheme(addr.subscheme);
+    const lph::ZoneSystem& zsys = ss.zones();
+    if (zsys.is_leaf(addr.zone) || !dht_.owns(h, my_key)) return true;
+    for (int c = 0; c < zsys.base(); ++c) {
+      const lph::Zone child = zsys.child(addr.zone, c);
+      const Id child_key = lph::zone_key(zsys, child, ss.rotation());
+      net::HostIndex owner = overlay::Peer::kInvalidHost;
+      bool ambiguous = false;
+      for (net::HostIndex o = 0; o < nodes_.size(); ++o) {
+        if (!dht_.network().alive(o) || !dht_.owns(o, child_key)) continue;
+        if (owner != overlay::Peer::kInvalidHost) {
+          ambiguous = true;
+          break;
+        }
+        owner = o;
+      }
+      if (owner == overlay::Peer::kInvalidHost || ambiguous) continue;
+      HyperRect installed;
+      const ZoneAddr child_addr{addr.scheme, addr.subscheme, child};
+      const HyperSubNode& on = *nodes_[owner];
+      if (const auto it = on.zones().find(child_addr); it != on.zones().end()) {
+        const auto& pp = it->second.parent_piece();
+        if (pp && pp->second == my_key) installed = pp->first;
+      } else if (const PieceZone* z =
+                     on.piece_zones().find(child_addr, child_key);
+                 z != nullptr && z->parent_key == my_key) {
+        installed = z->piece;
+      }
+      const HyperRect sent = sent_to(c, zsys.extent(child));
+      if (!(installed == sent) && !(installed.empty() && sent.empty())) {
+        return false;
+      }
+    }
+    return true;
+  };
   for (net::HostIndex h = 0; h < nodes_.size(); ++h) {
     if (!dht_.network().alive(h)) continue;
     for (const auto& [addr, zone] : nodes_[h]->zones()) {
-      const SchemeRuntime& rt = *schemes_[addr.scheme];
-      const Subscheme& ss = rt.subscheme(addr.subscheme);
-      const lph::ZoneSystem& zsys = ss.zones();
-      if (zsys.is_leaf(addr.zone)) continue;
-      if (!dht_.owns(h, ss.zone_key(addr.zone))) continue;
-      const Id my_key = ss.zone_key(addr.zone);
-      for (int c = 0; c < zsys.base(); ++c) {
-        const lph::Zone child = zsys.child(addr.zone, c);
-        const Id child_key = ss.zone_key(child);
-        net::HostIndex owner = overlay::Peer::kInvalidHost;
-        bool ambiguous = false;
-        for (net::HostIndex o = 0; o < nodes_.size(); ++o) {
-          if (!dht_.network().alive(o) || !dht_.owns(o, child_key)) continue;
-          if (owner != overlay::Peer::kInvalidHost) {
-            ambiguous = true;
-            break;
-          }
-          owner = o;
-        }
-        if (owner == overlay::Peer::kInvalidHost || ambiguous) continue;
-        HyperRect installed;
-        const ZoneAddr child_addr{addr.scheme, addr.subscheme, child};
-        const auto& child_zones = nodes_[owner]->zones();
-        if (const auto it = child_zones.find(child_addr);
-            it != child_zones.end()) {
-          const auto& pp = it->second.parent_piece();
-          if (pp && pp->second == my_key) installed = pp->first;
-        } else if (const std::uint32_t cid =
-                       nodes_[owner]->chains().find_containing(
-                           addr.scheme, addr.subscheme, child, child_key,
-                           zsys.base_bits());
-                   cid != ZoneChainSet::kNone) {
-          // A compressed child can only hang under this parent as a chain
-          // HEAD (an interior member's tree parent is the previous member,
-          // which is never materialized).
-          const CompressedChain& cc = nodes_[owner]->chains().get(cid);
-          if (cc.head_level() == child.level && cc.parent_key == my_key) {
-            installed = cc.piece;
-          }
-        }
-        const HyperRect& cached = zone.child_piece(c);
-        if (!(installed == cached) &&
-            !(installed.empty() && cached.empty())) {
-          return false;
-        }
-      }
+      const auto cached = [&zone](int c, const HyperRect&) {
+        return zone.child_piece(c);
+      };
+      if (!children_match(h, addr, zone_key_of(addr), cached)) return false;
     }
-    // Chain-frontier pass: the derived piece a chain's tail implies for
-    // each child plays the cached-piece role above; the child's live owner
-    // must hold exactly that state (materialized, or as the head of a
-    // deeper chain).
-    bool frontier_ok = true;
-    nodes_[h]->chains().for_each([&](std::uint32_t,
-                                     const CompressedChain& c) {
-      if (!frontier_ok) return;
-      const SchemeRuntime& rt = *schemes_[c.scheme];
-      const Subscheme& ss = rt.subscheme(c.subscheme);
-      const lph::ZoneSystem& zsys = ss.zones();
-      if (zsys.is_leaf(c.tail)) return;
-      const Id tail_key = c.level_keys.back();
-      if (!dht_.owns(h, tail_key)) return;
-      for (int digit = 0; digit < zsys.base(); ++digit) {
-        const lph::Zone child = zsys.child(c.tail, digit);
-        const Id child_key = lph::zone_key(zsys, child, ss.rotation());
-        net::HostIndex owner = overlay::Peer::kInvalidHost;
-        bool ambiguous = false;
-        for (net::HostIndex o = 0; o < nodes_.size(); ++o) {
-          if (!dht_.network().alive(o) || !dht_.owns(o, child_key)) continue;
-          if (owner != overlay::Peer::kInvalidHost) {
-            ambiguous = true;
-            break;
-          }
-          owner = o;
-        }
-        if (owner == overlay::Peer::kInvalidHost || ambiguous) continue;
-        const HyperRect ext = zsys.extent(child);
-        HyperRect derived;
-        if (c.piece.overlaps(ext)) derived = c.piece.intersect(ext);
-        HyperRect installed;
-        const ZoneAddr child_addr{c.scheme, c.subscheme, child};
-        const auto& child_zones = nodes_[owner]->zones();
-        if (const auto it = child_zones.find(child_addr);
-            it != child_zones.end()) {
-          const auto& pp = it->second.parent_piece();
-          if (pp && pp->second == tail_key) installed = pp->first;
-        } else if (const std::uint32_t cid =
-                       nodes_[owner]->chains().find_containing(
-                           c.scheme, c.subscheme, child, child_key,
-                           zsys.base_bits());
-                   cid != ZoneChainSet::kNone) {
-          const CompressedChain& cc = nodes_[owner]->chains().get(cid);
-          if (cc.head_level() == child.level && cc.parent_key == tail_key) {
-            installed = cc.piece;
-          }
-        }
-        if (!(installed == derived) &&
-            !(installed.empty() && derived.empty())) {
-          frontier_ok = false;
-          return;
-        }
-      }
+    bool records_ok = true;
+    nodes_[h]->piece_zones().for_each([&](const PieceZone& z) {
+      const auto derived = [&z](int, const HyperRect& ext) {
+        return z.piece.overlaps(ext) ? z.piece.intersect(ext) : HyperRect{};
+      };
+      records_ok = records_ok && children_match(h, z.addr, z.key, derived);
     });
-    if (!frontier_ok) return false;
+    if (!records_ok) return false;
   }
   // Lifecycle pass: outside an active handover, no live node may be left
   // holding populated primary zone state for a key another live node
@@ -2175,7 +1631,7 @@ bool HyperSubSystem::check_zone_invariants() const {
 std::uint64_t HyperSubSystem::zone_content_digest() const {
   // Commutative fold (sum of full-avalanche row hashes), so the digest is
   // independent of map iteration order, host assignment within a node, and
-  // whether a structural zone is materialized or an implicit chain member.
+  // whether a piece-only zone is materialized or a record.
   std::uint64_t acc = 0;
   const auto fold = [&acc](const ZoneAddr& addr, std::uint64_t fp) {
     std::uint64_t h = splitmix64(addr.zone.code);
@@ -2190,39 +1646,31 @@ std::uint64_t HyperSubSystem::zone_content_digest() const {
            (!zs.has_parent_piece() || zs.parent_piece()->first.empty());
   };
   for (net::HostIndex host = 0; host < net::HostIndex(nodes_.size()); ++host) {
-    // Departed nodes keep dead copies of their zones and chains until the
+    // Departed nodes keep dead copies of their zones and records until the
     // process goes (commit_leave_handover serves events through the
     // splice); only the live placement is system content.
     if (!dht_.network().alive(host)) continue;
     const auto& nd = nodes_[host];
     for (const auto& [addr, zone] : nd->zones()) {
-      if (husk(zone)) continue;  // stores nothing a chain would represent
+      if (husk(zone)) continue;  // stores nothing a record would represent
       fold(addr, zone.fingerprint());
     }
-    nd->chains().for_each([&](std::uint32_t, const CompressedChain& c) {
-      const Subscheme& ss = schemes_[c.scheme]->subscheme(c.subscheme);
-      const lph::ZoneSystem& zsys = ss.zones();
-      const int bb = zsys.base_bits();
-      for (int L = c.head_level(); L <= c.tail.level; ++L) {
-        const lph::Zone z = c.member(L, bb);
-        const HyperRect rect = chain_rect_at(c, zsys, z);
-        if (rect.empty()) continue;
-        const ZoneAddr addr{c.scheme, c.subscheme, z};
-        // Synthesize the member as the ZoneState an uncompressed run would
-        // hold: derived parent piece, derived child-piece cache.
-        ZoneState zs(addr, cfg_.match_index_threshold, cfg_.cover_aggregation);
-        zs.set_parent_piece(rect, c.parent_key_at(L));
-        if (!zsys.is_leaf(z)) {
-          for (int digit = 0; digit < zsys.base(); ++digit) {
-            const lph::Zone ch = zsys.child(z, digit);
-            const HyperRect ext = zsys.extent(ch);
-            if (rect.overlaps(ext)) {
-              zs.set_child_piece(digit, rect.intersect(ext));
-            }
+    nd->piece_zones().for_each([&](const PieceZone& z) {
+      // Synthesize the ZoneState an uncompressed run would hold: the parent
+      // piece and the derived child-piece cache.
+      const lph::ZoneSystem& zsys =
+          schemes_[z.addr.scheme]->subscheme(z.addr.subscheme).zones();
+      ZoneState zs(z.addr, cfg_.match_index_threshold, cfg_.cover_aggregation);
+      zs.set_parent_piece(z.piece, z.parent_key);
+      if (!zsys.is_leaf(z.addr.zone)) {
+        for (int digit = 0; digit < zsys.base(); ++digit) {
+          const HyperRect ext = zsys.extent(zsys.child(z.addr.zone, digit));
+          if (z.piece.overlaps(ext)) {
+            zs.set_child_piece(digit, z.piece.intersect(ext));
           }
         }
-        fold(addr, zs.fingerprint());
       }
+      fold(z.addr, zs.fingerprint());
     });
   }
   return acc;
@@ -2276,6 +1724,13 @@ Id HyperSubSystem::zone_key_of(const ZoneAddr& addr) const {
   return schemes_[addr.scheme]->subscheme(addr.subscheme).zone_key(addr.zone);
 }
 
+HyperSubNode::ZoneSystemOf HyperSubSystem::zones_of() const {
+  return [this](std::uint32_t scheme,
+                std::uint32_t subscheme) -> const lph::ZoneSystem& {
+    return schemes_[scheme]->subscheme(subscheme).zones();
+  };
+}
+
 void HyperSubSystem::queue_transfer_op(TransferOut& t, std::uint64_t bytes,
                                        std::function<void()> op) {
   t.queue.push_back(std::move(op));
@@ -2299,55 +1754,16 @@ std::vector<std::uint8_t> HyperSubSystem::serialize_moved_zones(
     save_zone_addr(w, addr);
     nd.zones().at(addr).save(w);
   }
-  // Compressed chains ship as sub-chain frames: each run of consecutive
-  // members whose keys move carries the run head's derived piece and parent
-  // key, so the frame is a self-contained chain for the target. Non-moved
-  // runs stay behind (the ack-side retire drops the moved ones).
-  std::vector<CompressedChain> frames;
-  nd.chains().for_each([&](std::uint32_t, const CompressedChain& c) {
-    const Subscheme& ss = schemes_[c.scheme]->subscheme(c.subscheme);
-    const lph::ZoneSystem& zsys = ss.zones();
-    const int bb = zsys.base_bits();
-    int L = c.head_level();
-    while (L <= c.tail.level) {
-      const bool moves = transfer_moves(t, c.key_at(L));
-      int R = L;
-      while (R + 1 <= c.tail.level &&
-             transfer_moves(t, c.key_at(R + 1)) == moves) {
-        ++R;
-      }
-      if (moves) {
-        CompressedChain f;
-        f.scheme = c.scheme;
-        f.subscheme = c.subscheme;
-        f.tail = c.member(R, bb);
-        f.span = std::uint32_t(R - L + 1);
-        const lph::Zone rh = c.member(L, bb);
-        const HyperRect ext = zsys.extent(rh);
-        if (c.piece.overlaps(ext)) f.piece = c.piece.intersect(ext);
-        f.parent_key = c.parent_key_at(L);
-        f.level_keys.assign(
-            c.level_keys.begin() + std::size_t(L - c.head_level()),
-            c.level_keys.begin() + std::size_t(R - c.head_level() + 1));
-        frames.push_back(std::move(f));
-      }
-      L = R + 1;
-    }
+  // Records ship as one-zone frames after the zone section.
+  std::vector<PieceZone> records;
+  nd.piece_zones().for_each([&](const PieceZone& z) {
+    if (transfer_moves(t, z.key)) records.push_back(z);
   });
-  std::sort(frames.begin(), frames.end(),
-            [](const CompressedChain& a, const CompressedChain& b) {
-              if (a.scheme != b.scheme) return a.scheme < b.scheme;
-              if (a.subscheme != b.subscheme) return a.subscheme < b.subscheme;
-              if (a.tail.level != b.tail.level)
-                return a.tail.level < b.tail.level;
-              return a.tail.code < b.tail.code;
-            });
-  w.u32(std::uint32_t(frames.size()));
-  for (const CompressedChain& f : frames) save_chain(w, f);
+  std::sort(records.begin(), records.end(), canonical_order);
+  w.u32(std::uint32_t(records.size()));
+  for (const PieceZone& z : records) save_piece_frame(w, z);
   if (moved_entries != nullptr) {
-    std::uint32_t n = std::uint32_t(moved.size());
-    for (const CompressedChain& f : frames) n += f.span;
-    *moved_entries = n;
+    *moved_entries = std::uint32_t(moved.size() + records.size());
   }
   return w.take();
 }
@@ -2359,43 +1775,22 @@ void HyperSubSystem::install_transferred_zones(net::HostIndex host,
   for (std::uint32_t i = 0; i < n; ++i) {
     const Id key = r.u64();
     const ZoneAddr addr = load_zone_addr(r);
-    // The shipped image is authoritative: it supersedes any primary
-    // leftover from a past life and the replica copy of the same zone.
+    // The shipped image is authoritative: it supersedes any primary or
+    // record leftover from a past life and the replica copy of the zone.
     nd.erase_zone(addr, key);
     nd.erase_replica_zone(addr, key);
-    // ... including a compressed leftover covering the same address.
-    if (const std::uint32_t cid = nd.chains().find_containing(
-            addr.scheme, addr.subscheme, addr.zone, key,
-            schemes_[addr.scheme]
-                ->subscheme(addr.subscheme)
-                .zones()
-                .base_bits());
-        cid != ZoneChainSet::kNone) {
-      drop_chain_member(nd, cid, addr.zone);
-    }
+    nd.piece_zones().take(addr, key);
     nd.zone_state(addr, key).restore(r);
   }
-  const std::uint32_t n_chains = r.u32();
-  for (std::uint32_t i = 0; i < n_chains; ++i) {
-    CompressedChain f = load_chain(r);
-    const Subscheme& ss = schemes_[f.scheme]->subscheme(f.subscheme);
-    const lph::ZoneSystem& zsys = ss.zones();
-    const int bb = zsys.base_bits();
-    // Clear stale state at every member address before the frame lands.
-    for (int L = f.head_level(); L <= f.tail.level; ++L) {
-      const lph::Zone z = f.member(L, bb);
-      const ZoneAddr addr{f.scheme, f.subscheme, z};
-      const Id key = f.key_at(L);
-      nd.erase_zone(addr, key);
-      nd.erase_replica_zone(addr, key);
-      if (const std::uint32_t cid = nd.chains().find_containing(
-              f.scheme, f.subscheme, z, key, bb);
-          cid != ZoneChainSet::kNone) {
-        drop_chain_member(nd, cid, z);
-      }
-    }
-    const std::uint32_t id = nd.chains().insert(std::move(f));
-    if (compress_enabled()) chain_try_merge(host, id);
+  const std::uint32_t n_frames = r.u32();
+  const HyperSubNode::ZoneSystemOf zsys_of = zones_of();
+  for (std::uint32_t i = 0; i < n_frames; ++i) {
+    load_piece_frame(r, zsys_of, [&](PieceZone z) {
+      nd.erase_zone(z.addr, z.key);
+      nd.erase_replica_zone(z.addr, z.key);
+      nd.piece_zones().take(z.addr, z.key);
+      nd.piece_zones().insert(std::move(z));
+    });
   }
 }
 
@@ -2608,62 +2003,14 @@ void HyperSubSystem::commit_join_handover(net::HostIndex owner) {
               nd.erase_zone(addr, key);
               invalidate_cached_route(key);
             }
-            // Chains whose member keys moved retire the same way: split
-            // each affected record into movedness runs, keep the runs that
-            // stay (self-contained: derived piece + parent key at the run
-            // head), drop the rest, and flush the moved keys' routes.
-            if (!nd.chains().empty()) {
-              std::vector<std::uint32_t> affected;
-              nd.chains().for_each(
-                  [&](std::uint32_t id, const CompressedChain& c) {
-                    for (const Id k : c.level_keys) {
-                      if (transfer_moves(t2, k)) {
-                        affected.push_back(id);
-                        return;
-                      }
-                    }
-                  });
-              for (const std::uint32_t id : affected) {
-                const CompressedChain c = nd.chains().get(id);
-                nd.chains().erase(id);
-                const Subscheme& ss =
-                    schemes_[c.scheme]->subscheme(c.subscheme);
-                const lph::ZoneSystem& zsys = ss.zones();
-                const int bb = zsys.base_bits();
-                const int head = c.head_level();
-                int L = head;
-                while (L <= c.tail.level) {
-                  const bool mv = transfer_moves(t2, c.key_at(L));
-                  int R = L;
-                  while (R < c.tail.level &&
-                         transfer_moves(t2, c.key_at(R + 1)) == mv) {
-                    ++R;
-                  }
-                  if (mv) {
-                    Id last = 0;
-                    bool have = false;
-                    for (int j = L; j <= R; ++j) {
-                      const Id k = c.key_at(j);
-                      if (!have || k != last) invalidate_cached_route(k);
-                      last = k;
-                      have = true;
-                    }
-                  } else {
-                    CompressedChain keep;
-                    keep.scheme = c.scheme;
-                    keep.subscheme = c.subscheme;
-                    keep.tail = c.member(R, bb);
-                    keep.span = std::uint32_t(R - L + 1);
-                    keep.piece = chain_rect_at(c, zsys, c.member(L, bb));
-                    keep.parent_key = c.parent_key_at(L);
-                    keep.level_keys.assign(
-                        c.level_keys.begin() + (L - head),
-                        c.level_keys.begin() + (R - head) + 1);
-                    nd.chains().insert(std::move(keep));
-                  }
-                  L = R + 1;
-                }
-              }
+            // Records whose keys moved retire the same way.
+            std::vector<std::pair<Id, ZoneAddr>> gone;
+            nd.piece_zones().for_each([&](const PieceZone& z) {
+              if (transfer_moves(t2, z.key)) gone.emplace_back(z.key, z.addr);
+            });
+            for (const auto& [key, addr] : gone) {
+              nd.piece_zones().take(addr, key);
+              invalidate_cached_route(key);
             }
           } else {
             // The joiner gave up warming before the commit arrived: keep
@@ -2707,7 +2054,7 @@ void HyperSubSystem::commit_leave_handover(net::HostIndex owner) {
           propagate_pieces(target, addr);
           reseed_replicas(target, addr, key);
         }
-        repush_chain_frontiers(target);
+        repush_piece_zones(target);
         network().send(target, owner, overlay::kHeaderBytes,
                        [this, owner, moved, epoch] {
           TransferOut& t2 = transfers_out_[owner];
@@ -2766,7 +2113,7 @@ void HyperSubSystem::finish_warming(net::HostIndex joiner) {
     propagate_pieces(joiner, addr);
     reseed_replicas(joiner, addr, key);
   }
-  repush_chain_frontiers(joiner);
+  repush_piece_zones(joiner);
   // 4. Replay the deferred full-path work (installs, removals, buffered
   //    events) — warming is off, so these now execute for real.
   for (auto& op : done.ops) op();
@@ -2842,7 +2189,7 @@ void HyperSubSystem::restore_node(net::HostIndex host,
   common::ByteReader r(snapshot);
   const std::uint32_t ver = r.u32();
   assert(ver >= 1 && ver <= common::kWireVersion);
-  nodes_[host]->restore(r, ver);
+  nodes_[host]->restore(r, ver, zones_of());
   // Re-splice with no warming: the node resumes from its own disk image —
   // a node whose range drifted while down wants join_node() instead.
   dht_.join(host, bootstrap, {});
@@ -3007,7 +2354,8 @@ void HyperSubSystem::restore_state(common::ByteReader& r) {
       }
     }
   }
-  for (auto& nd : nodes_) nd->restore(r, ver);
+  const HyperSubNode::ZoneSystemOf zsys_of = zones_of();
+  for (auto& nd : nodes_) nd->restore(r, ver, zsys_of);
 }
 
 std::vector<std::size_t> HyperSubSystem::node_loads() const {

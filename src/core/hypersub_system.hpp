@@ -68,9 +68,6 @@ struct SubscriptionHandle {
 class HyperSubSystem {
  public:
   struct Config {
-    /// Alternative to the paper's summary-filter piece propagation: events
-    /// probe every ancestor zone directly (ablation; default off = paper).
-    bool ancestor_probing = false;
     /// Robustness extension: replicate every zone registration to this
     /// many of the owner's would-be heirs (overlay replica_set). When the
     /// owner fails and the DHT repairs, the promoted node matches from its
@@ -126,15 +123,14 @@ class HyperSubSystem {
     /// encoding (subid_list_wire_bytes). Delivery sets are identical with
     /// the flag on or off. Off by default = paper behavior.
     bool cover_aggregation = false;
-    /// Path-compressed zone tree (core::ZoneChainSet): maximal chains of
-    /// piece-only structural zones — no subscriptions, no buckets, exactly
-    /// one non-empty child piece — are stored as single compressed records
-    /// instead of one ZoneState per level. Cuts the zone tree's memory and
-    /// lets piece cascades jump head-to-tail in one step; event matching,
+    /// Compact zone tree (core::PieceZoneSet): a piece-only zone — no
+    /// subscriptions, no buckets, only the piece its parent installed — is
+    /// stored as one small record instead of a ZoneState and its key-index
+    /// entry. Cuts the zone tree's memory; piece cascades, event matching,
     /// zone fingerprints, and delivery sets are identical with the flag on
-    /// or off. Effective only without ancestor probing (which needs every
-    /// ancestor materialized) and without replicas (replica images mirror
-    /// materialized zones); in those modes the flag is ignored.
+    /// or off. Ignored with replicas (replica images mirror materialized
+    /// zones); OFF materializes every zone and is the reference the parity
+    /// tests compare against.
     bool compress_zone_chains = true;
     /// Overlay bootstrap at construction (see BootstrapMode). kOracle runs
     /// Overlay::build(build_threads) in the constructor, before the
@@ -383,7 +379,7 @@ class HyperSubSystem {
   bool check_zone_invariants() const;
 
   /// Order-insensitive digest of the logical zone tree: every stored zone
-  /// row — materialized or an implicit compressed-chain member — folds in
+  /// row — materialized or a piece-zone record — folds in
   /// as hash(scheme, subscheme, code, level, fingerprint). Husks (zones
   /// storing nothing: no subscriptions, no buckets, no parent piece) are
   /// skipped on both sides, so compressed and uncompressed runs of the
@@ -485,11 +481,13 @@ class HyperSubSystem {
   static bool transfer_moves(const TransferOut& t, Id key);
   /// The rotated key of a hosted zone (pure function of its address).
   Id zone_key_of(const ZoneAddr& addr) const;
+  /// Zone-system resolver for node images (HyperSubNode::restore).
+  HyperSubNode::ZoneSystemOf zones_of() const;
   /// Serialize the owner's hosted zones whose key moves with the session,
-  /// sorted by (key, addr) for deterministic bytes. Compressed chains ship
-  /// as self-contained sub-chain frames after the zone section. When
-  /// `moved_entries` is non-null it receives the moved zone count plus the
-  /// moved chain member count (the zones_transferred metric).
+  /// sorted by (key, addr) for deterministic bytes. Piece-zone records ship
+  /// as one-zone frames after the zone section. When `moved_entries` is
+  /// non-null it receives the moved zone plus record count (the
+  /// zones_transferred metric).
   std::vector<std::uint8_t> serialize_moved_zones(
       net::HostIndex owner, const TransferOut& t,
       std::uint32_t* moved_entries = nullptr) const;
@@ -507,60 +505,37 @@ class HyperSubSystem {
   void unsubscribe_impl(net::HostIndex subscriber, std::uint32_t scheme,
                         std::uint32_t iid, const pubsub::Subscription& sub);
 
-  // -- path-compressed structural zone chains (zone_chain.hpp) ---------------
-  // All chain state lives in the owning node's ZoneChainSet. Every helper
-  // below is a no-op (or unreachable) when
-  // compress_enabled() is false — the uncompressed paths are byte-for-byte
-  // the pre-compression behavior.
+  // -- piece-zone records (piece_zones.hpp) -----------------------------------
+  // A piece-only zone is a record in its owner's PieceZoneSet while
+  // compress_enabled(); with compression off no record ever exists and
+  // every helper below is a no-op.
 
-  /// Compression is active: flag on, and neither ablation mode that
-  /// requires every structural zone materialized.
+  /// Records are in use: flag on and no replicas.
   bool compress_enabled() const noexcept {
-    return cfg_.compress_zone_chains && !cfg_.ancestor_probing &&
-           cfg_.replicas == 0;
+    return cfg_.compress_zone_chains && cfg_.replicas == 0;
   }
   /// A summary-filter piece landed on a zone with no materialized state:
-  /// create/extend/reshape/dissolve the compressed chain covering it and
-  /// route the resulting child-piece deltas.
-  void chain_install_piece(net::HostIndex owner, const ZoneAddr& addr,
-                           Id rotated_key, HyperRect piece, Id parent_key);
-  /// Apply a new head piece to a chain whose record was already removed
-  /// from the set: keep the longest surviving prefix, split off (and
-  /// re-install into) the suffix, and route the frontier deltas.
-  void chain_reshape(net::HostIndex owner, CompressedChain old_c,
-                     HyperRect piece, Id parent_key);
-  /// Re-absorb merge-eligible neighbors above and below; returns the id of
-  /// the surviving record.
-  std::uint32_t chain_try_merge(net::HostIndex owner, std::uint32_t id);
-  /// Merge after a routed cascade: re-resolves the chain containing `z` by
-  /// address (chain ids do not survive the synchronous re-entry a route can
-  /// trigger) and runs chain_try_merge on it; no-op if no chain holds `z`.
-  void chain_merge_at(net::HostIndex owner, std::uint32_t scheme,
-                      std::uint32_t subscheme, const lph::Zone& z, Id key);
-  /// If `addr` is a compressed chain member, split it out and materialize
-  /// it as a ZoneState carrying its derived piece (and the derived child
-  /// pieces in the cache, so the next propagate resends nothing).
-  void materialize_if_chained(net::HostIndex owner, const ZoneAddr& addr,
+  /// create, update, or drop its record and route the child-piece deltas.
+  void record_install_piece(net::HostIndex owner, const ZoneAddr& addr,
+                            Id rotated_key, HyperRect piece, Id parent_key);
+  /// If `addr` is a record, turn it into a ZoneState carrying its piece
+  /// (and the derived child pieces in the cache, so the next propagate
+  /// resends nothing).
+  void materialize_piece_zone(net::HostIndex owner, const ZoneAddr& addr,
                               Id rotated_key);
-  /// Fold a materialized zone that stores only its parent piece back into
-  /// a chain (and erase it entirely if it stores nothing at all).
+  /// Turn a materialized zone that stores only its parent piece back into a
+  /// record (and erase it entirely if it stores nothing at all).
   void try_absorb_zone(net::HostIndex owner, const ZoneAddr& addr,
                        Id rotated_key);
-  /// Remove one member from chain `id` (which must contain `z`), splitting
-  /// the remainder into prefix/suffix records. Purely structural — no
-  /// materialization, no routing; transfer/retire bookkeeping only.
-  void drop_chain_member(HyperSubNode& nd, std::uint32_t id,
-                         const lph::Zone& z);
-  /// Route register_piece_at for every child of `tail` whose derived piece
+  /// Route register_piece_at for every child of `addr` whose derived piece
   /// changes between old_piece and new_piece (including clears).
-  void route_tail_child_deltas(net::HostIndex owner, std::uint32_t scheme,
-                               std::uint32_t subscheme, const lph::Zone& tail,
-                               Id tail_key, const HyperRect& old_piece,
-                               const HyperRect& new_piece);
-  /// After a handover installs chains on `host`, re-send every hosted
-  /// chain's derived tail-child pieces (receivers drop exact duplicates) —
-  /// the chain analogue of the propagate_pieces fixup pass.
-  void repush_chain_frontiers(net::HostIndex host);
+  void route_child_deltas(net::HostIndex owner, const ZoneAddr& addr,
+                          Id rotated_key, const HyperRect& old_piece,
+                          const HyperRect& new_piece);
+  /// After a handover installs records on `host`, re-send every record's
+  /// non-empty child pieces (receivers drop exact duplicates) — the record
+  /// analogue of the propagate_pieces fixup pass.
+  void repush_piece_zones(net::HostIndex host);
 
   // Alg. 3: registration at the surrogate node + piece propagation.
   void register_subscription_at(net::HostIndex owner, const ZoneAddr& addr,

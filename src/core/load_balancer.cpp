@@ -272,10 +272,10 @@ void LoadBalancer::migrate(net::HostIndex h,
                     tr->end(mspan, sys_.simulator().now());
                   }
                   HyperSubNode& origin = sys_.node(h);
-                  // The zone may have been absorbed into a compressed chain
-                  // while the handoff was in flight (all subs unsubscribed):
-                  // split it back out before touching its state.
-                  sys_.materialize_if_chained(h, origin_addr, zone_key);
+                  // The zone may have become a piece-zone record while the
+                  // handoff was in flight (all subs unsubscribed): turn it
+                  // back into a ZoneState before touching its state.
+                  sys_.materialize_piece_zone(h, origin_addr, zone_key);
                   ZoneState& zs = origin.zone_state(origin_addr, zone_key);
                   const HyperRect before = zs.summary();
                   zs.add_migrated_bucket(MigratedBucket{
@@ -307,7 +307,7 @@ void LoadBalancer::migrate(net::HostIndex h,
               tr->end(mspan, sys_.simulator().now());
             }
             HyperSubNode& origin = sys_.node(h);
-            sys_.materialize_if_chained(h, origin_addr, zone_key);
+            sys_.materialize_piece_zone(h, origin_addr, zone_key);
             ZoneState& zs = origin.zone_state(origin_addr, zone_key);
             const HyperRect before = zs.summary();
             for (auto& s : *bucket) zs.add_subscription(std::move(s));

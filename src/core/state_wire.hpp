@@ -1,16 +1,18 @@
 #pragma once
 // Wire encodings of the core value types shared by zone-state transfer
-// (join/leave) and whole-system checkpoints: HyperRect, SubId, StoredSub.
+// (join/leave) and whole-system checkpoints: HyperRect, SubId, StoredSub,
+// piece-zone frames.
 // Kept in one place so the two features can never drift apart on layout.
 
 #include <cstdint>
 
 #include "common/hyperrect.hpp"
 #include "common/wire.hpp"
+#include "core/piece_zones.hpp"
 #include "core/sub_arena.hpp"
 #include "core/subid.hpp"
-#include "core/zone_chain.hpp"
 #include "core/zone_state.hpp"
+#include "lph/zone.hpp"
 
 namespace hypersub::core {
 
@@ -64,29 +66,49 @@ inline ZoneAddr load_zone_addr(common::ByteReader& r) {
   return a;
 }
 
-inline void save_chain(common::ByteWriter& w, const CompressedChain& c) {
-  w.u32(c.scheme);
-  w.u32(c.subscheme);
-  w.u64(c.tail.code);
-  w.u32(std::uint32_t(c.tail.level));
-  w.u32(c.span);
-  save_rect(w, c.piece);
-  w.u64(c.parent_key);
-  for (const Id k : c.level_keys) w.u64(k);
+// Piece-zone section of node images and transfer snapshots (wire v2+).
+// Each frame describes a run of `span` piece-only zones along one parent
+// path: tail address, span, the run head's piece and parent key, then the
+// rotated keys head..tail. The writer emits one-zone frames; images from
+// older writers may hold longer runs, which load_piece_frame expands.
+inline void save_piece_frame(common::ByteWriter& w, const PieceZone& z) {
+  w.u32(z.addr.scheme);
+  w.u32(z.addr.subscheme);
+  w.u64(z.addr.zone.code);
+  w.u32(std::uint32_t(z.addr.zone.level));
+  w.u32(1);  // span
+  save_rect(w, z.piece);
+  w.u64(z.parent_key);
+  w.u64(z.key);
 }
 
-inline CompressedChain load_chain(common::ByteReader& r) {
-  CompressedChain c;
-  c.scheme = r.u32();
-  c.subscheme = r.u32();
-  c.tail.code = r.u64();
-  c.tail.level = int(r.u32());
-  c.span = r.u32();
-  c.piece = load_rect(r);
-  c.parent_key = r.u64();
-  c.level_keys.reserve(c.span);
-  for (std::uint32_t i = 0; i < c.span; ++i) c.level_keys.push_back(r.u64());
-  return c;
+/// Read one frame and pass emit(PieceZone) one record per level, head
+/// first. Member L of a run is the tail's ancestor at L; its piece is the
+/// head piece clipped to its extent, its parent key the previous member's
+/// key. `zones_of(scheme, subscheme)` yields the lph::ZoneSystem.
+template <typename ZonesOf, typename Emit>
+void load_piece_frame(common::ByteReader& r, ZonesOf&& zones_of, Emit&& emit) {
+  ZoneAddr tail;
+  tail.scheme = r.u32();
+  tail.subscheme = r.u32();
+  tail.zone.code = r.u64();
+  tail.zone.level = int(r.u32());
+  const std::uint32_t span = r.u32();
+  const HyperRect head_piece = load_rect(r);
+  Id parent_key = r.u64();
+  const lph::ZoneSystem& zsys = zones_of(tail.scheme, tail.subscheme);
+  for (std::uint32_t below = span; below-- > 0;) {
+    PieceZone z;
+    z.addr = tail;
+    z.addr.zone.code >>= std::uint64_t(below) * zsys.base_bits();
+    z.addr.zone.level -= int(below);
+    z.key = r.u64();
+    z.parent_key = parent_key;
+    parent_key = z.key;
+    const HyperRect ext = zsys.extent(z.addr.zone);
+    if (head_piece.overlaps(ext)) z.piece = head_piece.intersect(ext);
+    if (!z.piece.empty()) emit(std::move(z));
+  }
 }
 
 inline void save_stored_sub(common::ByteWriter& w, const StoredSub& s) {

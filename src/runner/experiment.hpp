@@ -30,13 +30,13 @@ struct ExperimentConfig {
   int code_bits = 20;   ///< bits of the identifier used for zone codes
   bool rotation = true;
   std::vector<std::vector<std::size_t>> subschemes;  ///< §3.5; empty = off
-  // pub/sub system — passed through verbatim (ancestor probing, replicas,
-  // reliability, route cache, batching, cover aggregation, streaming
-  // metrics, transfer knobs...). The runner only overrides bootstrap (it
+  // pub/sub system — passed through verbatim (replicas, reliability, route
+  // cache, batching, cover aggregation, streaming metrics, transfer
+  // knobs...). The runner only overrides bootstrap (it
   // always oracle-builds, with `setup_threads` workers) and
   // stream_event_metrics plumbing it already owns. The former mirrored
   // fields (route_cache, batch_forwarding, cover_aggregation,
-  // stream_metrics, ancestor_probing, trace_sample_rate) live here now —
+  // stream_metrics, trace_sample_rate) live here now —
   // see DESIGN.md, "Runner configuration".
   core::HyperSubSystem::Config system;
   // load balancing

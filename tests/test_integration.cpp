@@ -132,15 +132,15 @@ TEST(Integration, ZoneChainsReachCoveringSubscriptions) {
 
   // An event inside the subscription: its leaf zone's surrogate node must
   // hold a piece chain (parent pointer present at the leaf) — either as a
-  // materialized zone or as a member of a path-compressed chain record.
+  // materialized zone or as a piece-zone record.
   pubsub::Event e{0, {50.0, 5.0}};
   const auto le = lph::hash_event(ss.zones(), e.point, 0);
   const auto owner = s.chord->oracle_successor(le.key);
   const auto* zs = s.sys->node(owner.host).find_zone_by_key(le.key);
   bool has_piece = zs != nullptr && zs->has_parent_piece();
-  s.sys->node(owner.host).chains().for_each_at_key(
-      le.key, [&](std::uint32_t, const core::CompressedChain&) {
-        has_piece = true;  // chain members carry a derived piece by definition
+  s.sys->node(owner.host).piece_zones().for_each_at_key(
+      le.key, [&](const core::PieceZone&) {
+        has_piece = true;  // a record is a piece by definition
       });
   EXPECT_TRUE(has_piece) << "leaf zone has no state: chain is broken";
 
@@ -213,41 +213,6 @@ TEST(Integration, RotationSpreadsSchemesAcrossNodes) {
   EXPECT_NE(s.chord->oracle_successor(root_key_a).id,
             s.chord->oracle_successor(root_key_b).id)
       << "rotation failed to separate the schemes' root zones";
-}
-
-// Ancestor-probing mode must agree with the default mechanism event by
-// event (same matched sets; different cost profile).
-TEST(Integration, AncestorProbingAgreesWithPieces) {
-  std::vector<std::size_t> matched_default, matched_probing;
-  for (const bool probing : {false, true}) {
-    core::HyperSubSystem::Config sc;
-    sc.ancestor_probing = probing;
-    auto s = make_stack(40, 21, oracle_cfg(sc));
-    workload::WorkloadGenerator gen(workload::table1_spec(), 23);
-    core::SchemeOptions opt;
-    opt.zone_cfg = {1, 20};
-    const auto scheme = s.sys->add_scheme(gen.scheme(), opt);
-    Rng rng(25);
-    for (int i = 0; i < 120; ++i) {
-      s.sys->subscribe(net::HostIndex(rng.index(40)), scheme,
-                       gen.make_subscription());
-    }
-    s.sim->run();
-    for (int i = 0; i < 60; ++i) {
-      s.sys->publish(net::HostIndex(rng.index(40)), scheme, gen.make_event());
-    }
-    s.sim->run();
-    s.sys->finalize_events();
-    // Records finalize in delivery-completion order, which differs between
-    // the two mechanisms; compare by event sequence number.
-    std::map<std::uint64_t, std::size_t> by_seq;
-    for (const auto& r : s.sys->event_metrics().records()) {
-      by_seq[r.seq] = r.matched;
-    }
-    auto& out = probing ? matched_probing : matched_default;
-    for (const auto& [seq, matched] : by_seq) out.push_back(matched);
-  }
-  EXPECT_EQ(matched_default, matched_probing);
 }
 
 }  // namespace

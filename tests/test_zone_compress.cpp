@@ -1,7 +1,8 @@
-// Path-compressed zone-chain tests. The compressed tree must be an
-// invisible representation change: every observable — the per-zone content
-// digest (materialized + chain-implicit zones), the delivery sets, the
-// zone invariants, join/leave transfer, checkpoint images, and same-seed
+// Compact zone-tree tests: piece-only zones stored as PieceZone records.
+// The records must be an invisible representation change: every
+// observable — the per-zone content digest (materialized zones + records),
+// the delivery sets, the zone invariants, join/leave transfer, checkpoint
+// images (including multi-zone frames from older writers), and same-seed
 // byte identity — matches the uncompressed tree, while the zone-tree
 // footprint shrinks.
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "chord/chord_net.hpp"
+#include "common/wire.hpp"
 #include "core/hypersub_system.hpp"
+#include "core/state_wire.hpp"
 #include "net/topology.hpp"
 #include "runner/checkpoint.hpp"
 #include "trace/tracer.hpp"
@@ -73,10 +76,10 @@ std::vector<DeliveryRow> delivery_set(const Stack& s) {
   return out;
 }
 
-std::size_t total_chains(const Stack& s) {
+std::size_t total_records(const Stack& s) {
   std::size_t n = 0;
   for (net::HostIndex h = 0; h < s.topo->size(); ++h) {
-    n += s.sys->node(h).chains().size();
+    n += s.sys->node(h).piece_zones().size();
   }
   return n;
 }
@@ -86,10 +89,9 @@ core::HyperSubNode::ZoneMemoryBreakdown total_breakdown(const Stack& s) {
   for (net::HostIndex h = 0; h < s.topo->size(); ++h) {
     const auto mb = s.sys->node(h).memory_breakdown();
     sum.materialized_zones += mb.materialized_zones;
-    sum.chain_records += mb.chain_records;
     sum.implicit_zones += mb.implicit_zones;
     sum.zone_bytes += mb.zone_bytes;
-    sum.chain_bytes += mb.chain_bytes;
+    sum.record_bytes += mb.record_bytes;
     sum.key_index_bytes += mb.key_index_bytes;
     sum.sub_bytes += mb.sub_bytes;
   }
@@ -100,11 +102,12 @@ core::HyperSubNode::ZoneMemoryBreakdown total_breakdown(const Stack& s) {
 
 // Randomized subscribe/unsubscribe churn, replayed move-for-move on a
 // compressed and an uncompressed stack. Every round the semantic zone
-// digest (which folds chain-implicit zones through synthesized
-// fingerprints) must agree, and both trees must pass their own invariant
-// audits. Unsubscribes shrink summaries, so the rounds exercise chain
-// reshape, dissolve, interior split, and opportunistic re-merge — at
-// whatever boundary levels the workload happens to land on, across seeds.
+// digest (which folds records through synthesized fingerprints) must
+// agree, and both trees must pass their own invariant audits. Unsubscribes
+// shrink summaries, so the rounds exercise records shrinking, dropping,
+// materializing under a new subscription, and turning back into records —
+// at whatever boundary levels the workload happens to land on, across
+// seeds.
 TEST(ZoneCompress, ParityUnderSubscriptionChurn) {
   for (const std::uint64_t seed : {3ull, 11ull, 27ull}) {
     Stack on = make_stack({.seed = seed, .compress = true});
@@ -130,11 +133,11 @@ TEST(ZoneCompress, ParityUnderSubscriptionChurn) {
     on.sim->run();
     off.sim->run();
     parity("install");
-    EXPECT_GT(total_chains(on), 0u) << "seed=" << seed;
-    EXPECT_EQ(total_chains(off), 0u) << "seed=" << seed;
+    EXPECT_GT(total_records(on), 0u) << "seed=" << seed;
+    EXPECT_EQ(total_records(off), 0u) << "seed=" << seed;
 
     // Round 2: remove every other subscription — summaries shrink, pieces
-    // retract, chains reshape and re-merge.
+    // retract, drained zones turn back into records.
     for (std::size_t i = 0; i < hon.size(); i += 2) {
       on.sys->unsubscribe(hon[i]);
       off.sys->unsubscribe(hoff[i]);
@@ -143,7 +146,7 @@ TEST(ZoneCompress, ParityUnderSubscriptionChurn) {
     off.sim->run();
     parity("half-removal");
 
-    // Round 3: reinstall into the reshaped tree (splits chains again).
+    // Round 3: reinstall into the reshaped tree (materializes records).
     for (int i = 0; i < 60; ++i) {
       const net::HostIndex h = net::HostIndex(rng.index(32));
       const auto sub_on = on.gen->make_subscription();
@@ -172,8 +175,8 @@ TEST(ZoneCompress, ParityUnderSubscriptionChurn) {
 }
 
 // Tearing everything down must dissolve the piece skeleton: after the last
-// unsubscribe drains, no chain record (and no piece-bearing materialized
-// zone) survives, on either representation.
+// unsubscribe drains, no record (and no piece-bearing materialized zone)
+// survives, on either representation.
 TEST(ZoneCompress, FullTeardownDissolvesChains) {
   Stack on = make_stack({.seed = 9, .compress = true});
   Stack off = make_stack({.seed = 9, .compress = false});
@@ -188,7 +191,7 @@ TEST(ZoneCompress, FullTeardownDissolvesChains) {
   }
   on.sim->run();
   off.sim->run();
-  ASSERT_GT(total_chains(on), 0u);
+  ASSERT_GT(total_records(on), 0u);
 
   for (std::size_t i = 0; i < hon.size(); ++i) {
     on.sys->unsubscribe(hon[i]);
@@ -198,16 +201,16 @@ TEST(ZoneCompress, FullTeardownDissolvesChains) {
   off.sim->run();
   EXPECT_TRUE(on.sys->check_zone_invariants());
   EXPECT_TRUE(off.sys->check_zone_invariants());
-  EXPECT_EQ(total_chains(on), 0u);
+  EXPECT_EQ(total_records(on), 0u);
   EXPECT_EQ(on.sys->zone_content_digest(), off.sys->zone_content_digest());
 }
 
-// --- join/leave chain transfer --------------------------------------------
+// --- join/leave record transfer -------------------------------------------
 
-// A graceful leave serializes the leaver's chains (split at movedness run
-// boundaries) to the successor; a protocol rejoin pulls them back. The
-// host-independent content digest must ride through both handovers, and
-// the invariant audit must hold at every stop.
+// A graceful leave serializes the leaver's records to the successor; a
+// protocol rejoin pulls the moved ones back. The host-independent content
+// digest must ride through both handovers, and the invariant audit must
+// hold at every stop.
 TEST(ZoneCompress, JoinLeaveChainTransfer) {
   constexpr net::HostIndex kNode = 9;
   Stack s = make_stack({.seed = 5, .compress = true});
@@ -217,7 +220,7 @@ TEST(ZoneCompress, JoinLeaveChainTransfer) {
                      s.gen->make_subscription());
   }
   s.sim->run();
-  ASSERT_GT(total_chains(s), 0u);
+  ASSERT_GT(total_records(s), 0u);
   const std::uint64_t d0 = s.sys->zone_content_digest();
 
   s.sys->leave_node(kNode);
@@ -256,7 +259,7 @@ TEST(ZoneCompress, CheckpointRoundTrip) {
     events.emplace_back(net::HostIndex(rng.index(32)), s.gen->make_event());
   }
   s.sim->run();
-  ASSERT_GT(total_chains(s), 0u);
+  ASSERT_GT(total_records(s), 0u);
   const auto blob = runner::checkpoint(*s.sys);
 
   StackOpts ropts = base;
@@ -265,7 +268,7 @@ TEST(ZoneCompress, CheckpointRoundTrip) {
   runner::restore(*r.sys, blob);
   EXPECT_TRUE(r.sys->check_zone_invariants());
   EXPECT_EQ(r.sys->zone_content_digest(), s.sys->zone_content_digest());
-  EXPECT_EQ(total_chains(r), total_chains(s));
+  EXPECT_EQ(total_records(r), total_records(s));
   EXPECT_EQ(runner::checkpoint(*r.sys), blob);
 
   // The restored tree behaves identically under an identical event feed.
@@ -281,9 +284,12 @@ TEST(ZoneCompress, CheckpointRoundTrip) {
 }
 
 // An image written by an uncompressed run (all zones materialized, empty
-// chain sections) must restore cleanly into a compression-enabled system:
-// the representations interoperate at the wire level, and the restored
-// tree still matches the writer's digest.
+// piece-zone sections) must restore cleanly into a compression-enabled
+// system: the representations interoperate at the wire level, and the
+// restored tree still matches the writer's digest. The same holds for a
+// piece-zone section holding a multi-zone frame, the run encoding earlier
+// writers used for piece-only zones along one parent path: the reader
+// expands it into one record per level.
 TEST(ZoneCompress, UncompressedImageRestoresIntoCompressedSystem) {
   const StackOpts wopts{.seed = 17, .compress = false};
   Stack w = make_stack(wopts);
@@ -301,6 +307,132 @@ TEST(ZoneCompress, UncompressedImageRestoresIntoCompressedSystem) {
   runner::restore(*r.sys, blob);
   EXPECT_TRUE(r.sys->check_zone_invariants());
   EXPECT_EQ(r.sys->zone_content_digest(), w.sys->zone_content_digest());
+
+  // Find a piece-only zone and its rightmost child, also piece-only: the
+  // child shares the parent's rotated key, so both sit on one host.
+  const core::Subscheme& ss = r.sys->scheme_runtime(r.scheme).subscheme(0);
+  const lph::ZoneSystem& zsys = ss.zones();
+  const auto piece_only = [](const core::ZoneState& z) {
+    return z.subscription_count() == 0 && z.buckets().empty() &&
+           z.has_parent_piece() && !z.parent_piece()->first.empty();
+  };
+  net::HostIndex host = 0;
+  core::ZoneAddr head, tail;
+  bool found = false;
+  for (net::HostIndex h = 0; h < r.topo->size() && !found; ++h) {
+    const auto& zones = r.sys->node(h).zones();
+    for (const auto& [addr, z] : zones) {
+      if (addr.zone.level < 1 || zsys.is_leaf(addr.zone) || !piece_only(z))
+        continue;
+      const core::ZoneAddr child{addr.scheme, addr.subscheme,
+                                 zsys.child(addr.zone, zsys.base() - 1)};
+      const auto cit = zones.find(child);
+      if (cit == zones.end() || !piece_only(cit->second)) continue;
+      host = h;
+      head = addr;
+      tail = child;
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found) << "no piece-only parent/child pair on one host";
+  core::HyperSubNode& nd = r.sys->node(host);
+  const Id key = ss.zone_key(head.zone);
+  ASSERT_EQ(key, ss.zone_key(tail.zone));
+  const auto [head_piece, head_parent_key] =
+      *nd.zones().at(head).parent_piece();
+
+  // Drop both zones from the host, image it, and put them back as one
+  // span-2 frame in the image's piece-zone section. The image ends with
+  // that section (empty here) and the migrated-bucket section (empty).
+  nd.erase_zone(head, key);
+  nd.erase_zone(tail, key);
+  std::vector<std::uint8_t> image = r.sys->snapshot_node(host);
+  ASSERT_GE(image.size(), 8u);
+  ASSERT_TRUE(std::all_of(image.end() - 8, image.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  image.resize(image.size() - 8);
+  common::ByteWriter frame;
+  frame.u32(1);  // one frame
+  frame.u32(tail.scheme);
+  frame.u32(tail.subscheme);
+  frame.u64(tail.zone.code);
+  frame.u32(std::uint32_t(tail.zone.level));
+  frame.u32(2);  // span: head and tail
+  core::save_rect(frame, head_piece);
+  frame.u64(head_parent_key);
+  frame.u64(key);  // per-level keys, head first
+  frame.u64(key);
+  frame.u32(0);  // no migrated buckets
+  const std::vector<std::uint8_t> tail_bytes = frame.take();
+  image.insert(image.end(), tail_bytes.begin(), tail_bytes.end());
+
+  common::ByteReader in(image);
+  const std::uint32_t version = in.u32();
+  nd.restore(in, version,
+             [&](std::uint32_t sc, std::uint32_t ssi) -> const lph::ZoneSystem& {
+               return r.sys->scheme_runtime(sc).subscheme(ssi).zones();
+             });
+  EXPECT_EQ(nd.piece_zones().size(), 2u);
+  ASSERT_NE(nd.piece_zones().find(head, key), nullptr);
+  ASSERT_NE(nd.piece_zones().find(tail, key), nullptr);
+  EXPECT_EQ(nd.piece_zones().find(tail, key)->parent_key, key);
+  EXPECT_TRUE(r.sys->check_zone_invariants());
+  EXPECT_EQ(r.sys->zone_content_digest(), w.sys->zone_content_digest());
+
+  // Both trees deliver identically under one event feed.
+  for (int i = 0; i < 20; ++i) {
+    const net::HostIndex pub = net::HostIndex(rng.index(32));
+    const pubsub::Event ev = w.gen->make_event();
+    w.sys->publish(pub, w.scheme, ev);
+    r.sys->publish(pub, r.scheme, ev);
+  }
+  w.sim->run();
+  r.sim->run();
+  w.sys->finalize_events();
+  r.sys->finalize_events();
+  EXPECT_FALSE(delivery_set(w).empty());
+  EXPECT_EQ(delivery_set(r), delivery_set(w));
+}
+
+// A record and a materialized ZoneState at one address are two copies of
+// one zone; the audit must reject that even when both carry the same
+// piece, and accept the tree again once the copy is gone.
+TEST(ZoneCompress, RecordShadowedByZoneStateFailsAudit) {
+  Stack s = make_stack({.seed = 19, .compress = true});
+  Rng rng(67);
+  for (int i = 0; i < 60; ++i) {
+    s.sys->subscribe(net::HostIndex(rng.index(32)), s.scheme,
+                     s.gen->make_subscription());
+  }
+  s.sim->run();
+  ASSERT_TRUE(s.sys->check_zone_invariants());
+
+  const lph::ZoneSystem& zsys =
+      s.sys->scheme_runtime(s.scheme).subscheme(0).zones();
+  for (net::HostIndex h = 0; h < s.topo->size(); ++h) {
+    core::HyperSubNode& nd = s.sys->node(h);
+    if (nd.piece_zones().empty()) continue;
+    core::PieceZone rec;
+    nd.piece_zones().for_each([&](const core::PieceZone& z) {
+      if (rec.piece.empty()) rec = z;
+    });
+    core::ZoneState& copy = nd.zone_state(rec.addr, rec.key);
+    if (!zsys.is_leaf(rec.addr.zone)) {
+      for (int d = 0; d < zsys.base(); ++d) {
+        const HyperRect ext = zsys.extent(zsys.child(rec.addr.zone, d));
+        if (rec.piece.overlaps(ext)) {
+          copy.set_child_piece(d, rec.piece.intersect(ext));
+        }
+      }
+    }
+    copy.set_parent_piece(rec.piece, rec.parent_key);
+    EXPECT_FALSE(s.sys->check_zone_invariants());
+    nd.erase_zone(rec.addr, rec.key);
+    EXPECT_TRUE(s.sys->check_zone_invariants());
+    return;
+  }
+  FAIL() << "no piece-zone record formed";
 }
 
 // --- determinism ----------------------------------------------------------
@@ -331,7 +463,7 @@ TEST(ZoneCompress, DeterminismWithCompression) {
     }
     s.sim->run();
     s.sys->finalize_events();
-    EXPECT_GT(total_chains(s), 0u);
+    EXPECT_GT(total_records(s), 0u);
     const auto blob = runner::checkpoint(*s.sys);
     const auto del = delivery_set(s);
     if (reference.empty()) {
@@ -348,9 +480,9 @@ TEST(ZoneCompress, DeterminismWithCompression) {
 // --- the memory claim itself ----------------------------------------------
 
 // Same workload, both representations: the compressed tree must be
-// strictly smaller (chain records replace materialized piece-only zones
-// and their key-index entries), implicit zones must actually exist, and
-// content must agree.
+// strictly smaller (records replace materialized piece-only zones and
+// their key-index entries), records must actually exist, and content must
+// agree.
 TEST(ZoneCompress, CompressedTreeIsSmaller) {
   Stack on = make_stack({.seed = 33, .compress = true});
   Stack off = make_stack({.seed = 33, .compress = false});
@@ -369,8 +501,8 @@ TEST(ZoneCompress, CompressedTreeIsSmaller) {
   const auto moff = total_breakdown(off);
   EXPECT_GT(mon.implicit_zones, 0u);
   EXPECT_EQ(moff.implicit_zones, 0u);
-  // Every implicit zone is one materialized zone the uncompressed tree
-  // pays full price for.
+  // Every record is one materialized zone the uncompressed tree pays full
+  // price for.
   EXPECT_EQ(mon.materialized_zones + mon.implicit_zones,
             moff.materialized_zones);
   EXPECT_LT(mon.zone_tree_bytes(), moff.zone_tree_bytes());

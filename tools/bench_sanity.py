@@ -245,9 +245,9 @@ def cmd_scale(args):
         failures.append(f"setup speedup {speedup:.2f}x below "
                         f"{args.min_setup_speedup:.1f}x floor")
 
-    # Path-compressed zone tree: gate the representation's memory win
-    # against the same-build uncompressed run, and its behavior against
-    # the same run's deliveries/hash.
+    # Compact zone tree (piece-zone records): gate the representation's
+    # memory win against the same-build uncompressed run, and its behavior
+    # against the same run's deliveries/hash.
     if args.precompress_baseline:
         pre_doc, pre = load_scale_point(args.precompress_baseline, args.point)
         if "zone_tree_bytes" not in fresh or "zone_tree_bytes" not in pre:
@@ -260,15 +260,14 @@ def cmd_scale(args):
               f"{fresh['zone_tree_bytes'] * mib:.1f} MiB "
               f"(-{zreduction:.1%}, floor "
               f"{args.min_zone_tree_reduction:.0%}); "
-              f"{fresh.get('chain_records', 0)} chains cover "
-              f"{fresh.get('implicit_zones', 0)} implicit zones, "
+              f"{fresh.get('implicit_zones', 0)} piece-zone records, "
               f"{fresh.get('materialized_zones', 0)} materialized")
         if zreduction < args.min_zone_tree_reduction:
             failures.append(f"zone-tree reduction {zreduction:.1%} below "
                             f"{args.min_zone_tree_reduction:.0%} floor")
         if fresh.get("implicit_zones", 0) <= 0:
-            failures.append("compressed run has no implicit zones "
-                            "(chains never formed)")
+            failures.append("compressed run has no piece-zone records "
+                            "(no piece-only zone became a record)")
         if pre_doc.get("events") == fresh_doc.get("events"):
             if fresh["deliveries"] != pre["deliveries"]:
                 failures.append("delivery count diverges from uncompressed "
