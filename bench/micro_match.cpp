@@ -3,9 +3,10 @@
 //
 // Besides the google-benchmark timings, running this binary performs a
 // subs-per-zone sweep comparing the SubIndex-backed match against the
-// linear scan and writes machine-readable results to BENCH_match.json
-// (override with --json=PATH) so successive PRs can track the matching
-// trajectory.
+// linear scan, plus the index's build cost (one-shot SubIndex::assign
+// against one insert per subscription), and writes machine-readable
+// results to BENCH_match.json (override with --json=PATH) so successive
+// changes can track the matching trajectory.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/sub_index.hpp"
 #include "core/zone_state.hpp"
 #include "workload/zipf_workload.hpp"
 
@@ -158,6 +160,48 @@ SweepRow sweep_point(std::size_t subs) {
   return row;
 }
 
+struct BuildRow {
+  std::size_t subs = 0;
+  double ns_one_shot = 0.0;     ///< per subscription, SubIndex::assign
+  double ns_incremental = 0.0;  ///< per subscription, one insert() each
+};
+
+/// Average ns per subscription of building a SubIndex over `ranges` with
+/// `build`, repeating for at least ~20 ms of wall time.
+template <typename F>
+double time_build(const std::vector<HyperRect>& ranges, F&& build) {
+  using clock = std::chrono::steady_clock;
+  std::size_t builds = 0;
+  double elapsed_ns = 0.0;
+  while (builds < 3 || elapsed_ns < 2e7) {
+    const auto t0 = clock::now();
+    core::SubIndex idx;
+    build(idx);
+    benchmark::DoNotOptimize(idx.size());
+    elapsed_ns += double(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             clock::now() - t0)
+                             .count());
+    ++builds;
+  }
+  return elapsed_ns / double(builds * ranges.size());
+}
+
+BuildRow build_point(std::size_t subs) {
+  BuildRow row;
+  row.subs = subs;
+  workload::WorkloadGenerator gen(workload::table1_spec(), 1);
+  std::vector<HyperRect> ranges;
+  for (std::size_t i = 0; i < subs; ++i) {
+    ranges.push_back(gen.make_subscription().range());
+  }
+  row.ns_one_shot =
+      time_build(ranges, [&](core::SubIndex& idx) { idx.assign(ranges); });
+  row.ns_incremental = time_build(ranges, [&](core::SubIndex& idx) {
+    for (const HyperRect& r : ranges) idx.insert(r);
+  });
+  return row;
+}
+
 bool run_sweep(const std::string& json_path, bool quick) {
   // Quick mode (CI bench-sanity): only the 1000-subs point — enough to
   // catch an index regression without minutes of sweep time.
@@ -174,6 +218,17 @@ bool run_sweep(const std::string& json_path, bool quick) {
     std::printf("%10zu %14.1f %14.0f %12.0f %8.1fx\n", r.subs,
                 r.matches_per_event, r.ns_indexed, r.ns_scan,
                 r.ns_scan / r.ns_indexed);
+  }
+
+  std::vector<BuildRow> builds;
+  std::printf("\nindex build cost per subscription (table1 workload):\n");
+  std::printf("%10s %14s %16s %9s\n", "subs", "ns one-shot", "ns incremental",
+              "ratio");
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{10000}}) {
+    builds.push_back(build_point(n));
+    const auto& b = builds.back();
+    std::printf("%10zu %14.0f %16.0f %8.1fx\n", b.subs, b.ns_one_shot,
+                b.ns_incremental, b.ns_incremental / b.ns_one_shot);
   }
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -197,6 +252,16 @@ bool run_sweep(const std::string& json_path, bool quick) {
                  "%.1f, \"speedup\": %.2f}%s\n",
                  r.subs, r.matches_per_event, r.ns_indexed, r.ns_scan,
                  r.ns_scan / r.ns_indexed, i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"build\": [\n");
+  for (std::size_t i = 0; i < builds.size(); ++i) {
+    const auto& b = builds[i];
+    std::fprintf(f,
+                 "    {\"subs_per_zone\": %zu, \"ns_per_sub_one_shot\": %.1f, "
+                 "\"ns_per_sub_incremental\": %.1f}%s\n",
+                 b.subs, b.ns_one_shot, b.ns_incremental,
+                 i + 1 < builds.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

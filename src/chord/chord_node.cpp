@@ -17,6 +17,7 @@ NodeRef ChordNode::successor() const {
 
 void ChordNode::set_successor(NodeRef s) {
   assert(s.valid());
+  route_dirty_ = true;
   if (succ_.empty()) {
     succ_.push_back(s);
   } else if (succ_.front() != s) {
@@ -36,6 +37,7 @@ void ChordNode::set_successor(NodeRef s) {
 void ChordNode::adopt_successor_list(NodeRef succ,
                                      const std::vector<NodeRef>& rest) {
   assert(succ.valid());
+  route_dirty_ = true;
   succ_.clear();
   succ_.push_back(succ);
   for (const auto& n : rest) {
@@ -48,6 +50,7 @@ void ChordNode::adopt_successor_list(NodeRef succ,
 }
 
 void ChordNode::remove_peer(Id failed) {
+  route_dirty_ = true;
   succ_.erase(std::remove_if(succ_.begin(), succ_.end(),
                              [failed](const NodeRef& n) {
                                return n.id == failed;
@@ -64,25 +67,49 @@ bool ChordNode::owns(Id key) const {
   return ring::in_open_closed(key, pred_.id, id_);
 }
 
-NodeRef ChordNode::closest_preceding(Id target) const {
-  // Pick the known node with the greatest clockwise progress from us while
-  // staying strictly inside (id, target) — or landing exactly on target's
-  // ... predecessor side. Standard Chord closest_preceding_finger extended
-  // over the successor list.
-  NodeRef best = self();
-  Id best_dist = 0;  // progress distance(id_, best.id); self has 0
-  auto consider = [&](const NodeRef& n) {
-    if (!n.valid() || n.id == id_) return;
-    if (!ring::in_open(n.id, id_, target)) return;
-    const Id d = ring::distance(id_, n.id);
-    if (d > best_dist) {
-      best_dist = d;
-      best = n;
-    }
+void ChordNode::rebuild_route_table() const {
+  struct Entry {
+    Id dist;             // clockwise distance from id_
+    std::uint32_t rank;  // position in the fingers-then-successors scan
+    NodeRef ref;
   };
-  for (const auto& f : fingers_) consider(f);
-  for (const auto& s : succ_) consider(s);
-  return best;
+  static thread_local std::vector<Entry> scratch;
+  scratch.clear();
+  std::uint32_t rank = 0;
+  const auto add = [&](const NodeRef& n) {
+    if (n.valid() && n.id != id_) {
+      scratch.push_back({ring::distance(id_, n.id), rank, n});
+    }
+    ++rank;
+  };
+  for (const auto& f : fingers_) add(f);
+  for (const auto& s : succ_) add(s);
+  std::sort(scratch.begin(), scratch.end(), [](const Entry& a, const Entry& b) {
+    return a.dist != b.dist ? a.dist < b.dist : a.rank < b.rank;
+  });
+  // One entry per id (equal distance == equal id): the first in scan order.
+  scratch.erase(std::unique(scratch.begin(), scratch.end(),
+                            [](const Entry& a, const Entry& b) {
+                              return a.dist == b.dist;
+                            }),
+                scratch.end());
+  std::vector<NodeRef> table;  // exact size: one table lives per node
+  table.reserve(scratch.size());
+  for (const Entry& e : scratch) table.push_back(e.ref);
+  route_table_ = std::move(table);
+  route_dirty_ = false;
+}
+
+NodeRef ChordNode::closest_preceding(Id target) const {
+  // Standard Chord closest_preceding_finger extended over the successor
+  // list: n qualifies iff 0 < distance(id_, n) < distance(id_, target), and
+  // the qualifying entry of greatest distance wins.
+  if (route_dirty_) rebuild_route_table();
+  const Id limit = ring::distance(id_, target);
+  const auto it = std::lower_bound(
+      route_table_.begin(), route_table_.end(), limit,
+      [this](const NodeRef& n, Id d) { return ring::distance(id_, n.id) < d; });
+  return it == route_table_.begin() ? self() : *std::prev(it);
 }
 
 std::vector<NodeRef> ChordNode::neighbors() const {

@@ -55,12 +55,18 @@ class ChordNode {
     succ_.clear();
     pred_ = NodeRef{};
     fingers_.fill(NodeRef{});
+    route_dirty_ = true;
   }
 
   // -- fingers -------------------------------------------------------------
 
   const NodeRef& finger(int i) const { return fingers_[std::size_t(i)]; }
-  void set_finger(int i, NodeRef f) { fingers_[std::size_t(i)] = f; }
+  void set_finger(int i, NodeRef f) {
+    NodeRef& slot = fingers_[std::size_t(i)];
+    if (slot == f) return;
+    slot = f;
+    route_dirty_ = true;
+  }
 
   // -- routing decisions ---------------------------------------------------
 
@@ -69,10 +75,13 @@ class ChordNode {
   /// node cannot claim ownership (returns key == id()).
   bool owns(Id key) const;
 
-  /// The routing-table neighbor whose id most closely precedes (or equals)
-  /// `target` going clockwise from this node — Alg. 5 line 20. Scans
-  /// fingers and the successor list; returns self() when the table holds no
-  /// node in (id, target].
+  /// The routing-table neighbor (finger or successor) with the greatest
+  /// clockwise progress from this node that stays strictly inside
+  /// (id, target) — Alg. 5 line 20. Returns self() when the table holds no
+  /// such node. Of two entries with one id, the one a scan over fingers
+  /// 0..63 and then the successor list meets first is returned.
+  /// O(log n) over a sorted table rebuilt lazily after a mutation; not
+  /// thread-safe (the simulation thread alone routes).
   NodeRef closest_preceding(Id target) const;
 
   /// All distinct valid neighbors (fingers + successor list + predecessor);
@@ -86,6 +95,13 @@ class ChordNode {
   std::vector<NodeRef> succ_;
   NodeRef pred_;
   std::array<NodeRef, kIdBits> fingers_{};
+
+  void rebuild_route_table() const;
+  /// closest_preceding()'s lookup table: the distinct valid fingers and
+  /// successors other than self, ascending by clockwise distance from id_.
+  /// Every mutator of fingers_ or succ_ marks it dirty.
+  mutable std::vector<NodeRef> route_table_;
+  mutable bool route_dirty_ = true;
 };
 
 }  // namespace hypersub::chord

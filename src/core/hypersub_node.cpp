@@ -149,10 +149,12 @@ std::uint32_t HyperSubNode::accept_migration(Id origin_zone_key,
   MigratedRepo repo;
   repo.origin_zone_key = origin_zone_key;
   repo.indexed = subs.size() >= index_threshold_;
+  std::vector<HyperRect> ranges;
   for (const auto& s : subs) {
     repo.subs.add(s);  // append-never: refs are the dense acceptance order
-    if (repo.indexed) repo.index.insert(s.sub.range());
+    if (repo.indexed) ranges.push_back(s.sub.range());
   }
+  if (repo.indexed) repo.index.assign(std::move(ranges));
   migrated_in_.emplace(token, std::move(repo));
   return token;
 }
@@ -368,11 +370,13 @@ void HyperSubNode::restore(common::ByteReader& r, std::uint32_t version,
     repo.origin_zone_key = r.u64();
     repo.indexed = r.boolean();
     const std::uint32_t n = r.u32();
+    std::vector<HyperRect> ranges;
     for (std::uint32_t j = 0; j < n; ++j) {
       const StoredSub s = load_stored_sub(r);
       repo.subs.add(s);
-      if (repo.indexed) repo.index.insert(s.sub.range());
+      if (repo.indexed) ranges.push_back(s.sub.range());
     }
+    if (repo.indexed) repo.index.assign(std::move(ranges));
     migrated_in_.emplace(tok, std::move(repo));
   }
 }

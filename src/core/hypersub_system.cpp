@@ -309,36 +309,50 @@ std::vector<SubscriptionHandle> HyperSubSystem::bulk_subscribe(
   // Phase B — replica copies first (mirrors register_subscription_at,
   // which copies to the heirs before the primary insert), sharded by
   // replica host; then the primary installs, sharded by owner host. Within
-  // one host everything lands in batch order.
+  // one host everything lands in batch order. Each touched zone is held in
+  // a bulk scope, so its match index is built once, over its whole
+  // population, when the worker finishes its host range. The zones belong
+  // to the worker's hosts, so the builds need no synchronization either.
+  const auto install_in_bulk = [](ZoneState& zs, StoredSub s,
+                                  std::vector<ZoneState*>& touched) {
+    if (zs.begin_bulk()) touched.push_back(&zs);
+    zs.add_subscription(std::move(s));
+  };
   if (cfg_.replicas > 0) {
     for_host_ranges(
         threads, nodes_.size(), [&](std::size_t lo, std::size_t hi) {
+          std::vector<ZoneState*> touched;
           for (std::size_t i = 0; i < subs.size(); ++i) {
             const Planned& p = plan[i];
             for (const auto& peer :
                  dht_.replica_set(p.owner, cfg_.replicas)) {
               if (peer.host < lo || peer.host >= hi) continue;
               const ZoneAddr addr{scheme, p.ssi, p.zone};
-              nodes_[peer.host]
-                  ->replica_zone_state(addr, p.key)
-                  .add_subscription(StoredSub{
-                      SubId{nodes_[subs[i].subscriber]->node_id(), p.iid,
-                            SubIdKind::kSubscriber},
-                      subs[i].sub, p.projected});
+              install_in_bulk(
+                  nodes_[peer.host]->replica_zone_state(addr, p.key),
+                  StoredSub{SubId{nodes_[subs[i].subscriber]->node_id(), p.iid,
+                                  SubIdKind::kSubscriber},
+                            subs[i].sub, p.projected},
+                  touched);
             }
           }
+          for (ZoneState* zs : touched) zs->end_bulk();
         });
   }
   for_host_ranges(threads, nodes_.size(), [&](std::size_t lo, std::size_t hi) {
+    std::vector<ZoneState*> touched;
     for (std::size_t i = 0; i < subs.size(); ++i) {
       Planned& p = plan[i];
       if (p.owner < lo || p.owner >= hi) continue;
       const ZoneAddr addr{scheme, p.ssi, p.zone};
-      nodes_[p.owner]->zone_state(addr, p.key).add_subscription(
+      install_in_bulk(
+          nodes_[p.owner]->zone_state(addr, p.key),
           StoredSub{SubId{nodes_[subs[i].subscriber]->node_id(), p.iid,
                           SubIdKind::kSubscriber},
-                    std::move(subs[i].sub), std::move(p.projected)});
+                    std::move(subs[i].sub), std::move(p.projected)},
+          touched);
     }
+    for (ZoneState* zs : touched) zs->end_bulk();
   });
 
   // Phase C — one sequential top-down piece fixpoint per subscheme. A
@@ -1426,7 +1440,68 @@ metrics::RouteCacheCounters HyperSubSystem::route_cache_counters() const {
   return sum;
 }
 
+namespace {
+
+/// The one live host that, by its own routing state, claims `key`; for the
+/// zone audits. Exact like probing every live host with Overlay::owns, but
+/// the per-key probes run only over hosts whose claim is irregular.
+///
+/// Under successor geometry (a non-empty oracle owner table), a host claims
+/// one arc ending at its own id: (predecessor, id]. A host whose arc is
+/// exactly (previous live id, own id] — three owns() probes at the arc ends
+/// decide that — is regular: it claims precisely the keys it is the live
+/// successor of, and no other regular host claims them. Every other live
+/// host (a stale or missing predecessor, mid-repair) is probed per key, and
+/// so is every host of an overlay without successor geometry.
+class LiveOwnerLookup {
+ public:
+  LiveOwnerLookup(overlay::Overlay& dht, std::size_t hosts) : dht_(dht) {
+    for (net::HostIndex h = 0; h < hosts; ++h) {
+      if (dht.network().alive(h)) ring_.push_back({dht.id_of(h), h});
+    }
+    std::sort(ring_.begin(), ring_.end());
+    const bool successor_geometry =
+        ring_.size() > 1 && !dht.oracle_owner_table().empty();
+    regular_.assign(ring_.size(), false);
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      const auto [id, h] = ring_[i];
+      const Id prev = ring_[(i + ring_.size() - 1) % ring_.size()].first;
+      regular_[i] = successor_geometry && !dht.owns(h, prev) &&
+                    dht.owns(h, prev + 1) && dht.owns(h, id);
+      if (!regular_[i]) irregular_.push_back(h);
+    }
+  }
+
+  /// kInvalidHost when no live host or more than one claims `key`.
+  net::HostIndex unique_owner(Id key) const {
+    net::HostIndex owner = overlay::Peer::kInvalidHost;
+    if (!ring_.empty()) {
+      auto it = std::lower_bound(ring_.begin(), ring_.end(),
+                                 std::pair{key, net::HostIndex{0}});
+      if (it == ring_.end()) it = ring_.begin();
+      if (regular_[std::size_t(it - ring_.begin())]) owner = it->second;
+    }
+    for (const net::HostIndex h : irregular_) {
+      if (!dht_.owns(h, key)) continue;
+      if (owner != overlay::Peer::kInvalidHost) {
+        return overlay::Peer::kInvalidHost;  // ambiguous
+      }
+      owner = h;
+    }
+    return owner;
+  }
+
+ private:
+  overlay::Overlay& dht_;
+  std::vector<std::pair<Id, net::HostIndex>> ring_;  // live, ascending id
+  std::vector<bool> regular_;                         // per ring_ entry
+  std::vector<net::HostIndex> irregular_;
+};
+
+}  // namespace
+
 bool HyperSubSystem::check_zone_invariants() const {
+  const LiveOwnerLookup owners(dht_, nodes_.size());
   for (const auto& nd : nodes_) {
     for (const auto& [addr, zone] : nd->zones()) {
       const SchemeRuntime& rt = *schemes_[addr.scheme];
@@ -1539,17 +1614,8 @@ bool HyperSubSystem::check_zone_invariants() const {
     for (int c = 0; c < zsys.base(); ++c) {
       const lph::Zone child = zsys.child(addr.zone, c);
       const Id child_key = lph::zone_key(zsys, child, ss.rotation());
-      net::HostIndex owner = overlay::Peer::kInvalidHost;
-      bool ambiguous = false;
-      for (net::HostIndex o = 0; o < nodes_.size(); ++o) {
-        if (!dht_.network().alive(o) || !dht_.owns(o, child_key)) continue;
-        if (owner != overlay::Peer::kInvalidHost) {
-          ambiguous = true;
-          break;
-        }
-        owner = o;
-      }
-      if (owner == overlay::Peer::kInvalidHost || ambiguous) continue;
+      const net::HostIndex owner = owners.unique_owner(child_key);
+      if (owner == overlay::Peer::kInvalidHost) continue;
       HyperRect installed;
       const ZoneAddr child_addr{addr.scheme, addr.subscheme, child};
       const HyperSubNode& on = *nodes_[owner];
@@ -1610,17 +1676,9 @@ bool HyperSubSystem::check_zone_invariants() const {
       if (zone.subscription_count() == 0 && zone.buckets().empty()) continue;
       const Id key = zone_key_of(addr);
       if (dht_.owns(h, key)) continue;
-      net::HostIndex owner = overlay::Peer::kInvalidHost;
-      bool ambiguous = false;
-      for (net::HostIndex o = 0; o < nodes_.size(); ++o) {
-        if (o == h || !dht_.network().alive(o) || !dht_.owns(o, key)) continue;
-        if (owner != overlay::Peer::kInvalidHost) {
-          ambiguous = true;
-          break;
-        }
-        owner = o;
-      }
-      if (owner == overlay::Peer::kInvalidHost || ambiguous) continue;
+      // h does not claim the key, so it is never among the claimants.
+      const net::HostIndex owner = owners.unique_owner(key);
+      if (owner == overlay::Peer::kInvalidHost) continue;
       if (mid_handover[owner]) continue;
       return false;
     }

@@ -310,7 +310,9 @@ void LoadBalancer::migrate(net::HostIndex h,
             sys_.materialize_piece_zone(h, origin_addr, zone_key);
             ZoneState& zs = origin.zone_state(origin_addr, zone_key);
             const HyperRect before = zs.summary();
+            const bool scope = zs.begin_bulk();
             for (auto& s : *bucket) zs.add_subscription(std::move(s));
+            if (scope) zs.end_bulk();
             failed_ += count;
             if (!(zs.summary() == before)) {
               sys_.propagate_pieces(h, origin_addr);

@@ -6,19 +6,25 @@
 // few actually match. SubIndex turns that into near-O(matches): for each
 // dimension it derives, from the sorted list of the stored ranges' interval
 // endpoints, an equi-depth partition of the axis into at most C cells, and
-// keeps per cell a compact bitset (std::vector<uint64_t> words, one bit per
-// stored range) of the ranges overlapping that cell. An event point is
-// located in one cell per dimension by binary search over the cell
-// boundaries; AND-ing the d cell bitsets yields a small candidate set that
-// is a guaranteed superset of the true matches, which the caller verifies
-// with the exact containment test.
+// keeps per cell a bitset (one bit per slot) of the ranges overlapping that
+// cell. An event point is located in one cell per dimension by binary
+// search over the cell boundaries; AND-ing the d cell bitsets yields a small
+// candidate set that is a guaranteed superset of the true matches, which
+// the caller verifies with the exact containment test.
+//
+// Storage is flat: per dimension, one `cells x stride` word matrix (row c
+// is cell c's bitset). `stride` covers the slot range at the last build;
+// an incremental insert past it doubles the stride (amortised O(1) per
+// insert). Queries AND only the ceil(slot_capacity / 64) words that can
+// hold a slot, never the doubled tail.
 //
 // Correctness never depends on the partition: cells are populated by
 // closed-interval overlap, so any cell containing the point also carries
 // the bit of every range containing the point. The partition only controls
-// selectivity, and is re-derived from the current endpoint lists whenever
-// the live count doubles (or collapses to half) since the last build, so
-// incremental insert/remove between rebuilds stays O(cells touched).
+// selectivity. assign() derives it once from a whole population (the
+// one-shot build); after that it is re-derived whenever the live count
+// doubles (or collapses to half) since the last build, so incremental
+// insert/remove between rebuilds stays O(cells touched).
 //
 // Dimensions whose endpoints are all identical (discrete / equality-only
 // attributes, or string attributes pre-mapped to a single code) degenerate
@@ -46,9 +52,14 @@ class SubIndex {
   SubIndex() = default;
   explicit SubIndex(Config cfg) : cfg_(cfg) {}
 
+  /// Replace the contents with `ranges` (slot i holds ranges[i]) and build
+  /// the partition and bitsets once — the one-shot build for a whole
+  /// population. All ranges must share one dimensionality.
+  void assign(std::vector<HyperRect> ranges);
+
   /// Index a range; returns its stable slot. The first insert fixes the
   /// dimensionality; all ranges must share it.
-  std::uint32_t insert(const HyperRect& range);
+  std::uint32_t insert(HyperRect range);
 
   /// Drop a previously inserted range; its slot is recycled.
   void remove(std::uint32_t slot);
@@ -66,7 +77,10 @@ class SubIndex {
   /// `p` — a superset of the exact answer; verify candidates exactly.
   void candidates(const Point& p, std::vector<std::uint32_t>& out) const;
 
-  /// Estimated heap footprint (bitset grids + per-slot ranges).
+  /// Words per cell row (bitset width in 64-slot words).
+  std::size_t stride() const noexcept { return stride_; }
+
+  /// Estimated heap footprint (bitset matrices + per-slot ranges).
   std::size_t memory_bytes() const noexcept {
     std::size_t bytes = dims_.capacity() * sizeof(Dim) +
                         rects_.capacity() * sizeof(HyperRect) +
@@ -74,8 +88,7 @@ class SubIndex {
                         scratch_.capacity() * sizeof(std::uint64_t);
     for (const Dim& d : dims_) {
       bytes += d.bounds.capacity() * sizeof(double) +
-               d.cells.capacity() * sizeof(std::vector<std::uint64_t>);
-      for (const auto& c : d.cells) bytes += c.capacity() * sizeof(std::uint64_t);
+               d.words.capacity() * sizeof(std::uint64_t);
     }
     for (const HyperRect& r : rects_) {
       bytes += r.dims().capacity() * sizeof(Interval);
@@ -86,12 +99,14 @@ class SubIndex {
  private:
   struct Dim {
     std::vector<double> bounds;  ///< inner cell boundaries, ascending
-    std::vector<std::vector<std::uint64_t>> cells;  ///< bitset words per cell
+    /// (bounds.size() + 1) x stride_ bitset words; row c is cell c.
+    std::vector<std::uint64_t> words;
   };
 
   static std::size_t cell_of(const Dim& d, double x);
   void set_bits(const HyperRect& r, std::uint32_t slot);
   void clear_bits(const HyperRect& r, std::uint32_t slot);
+  void grow_stride(std::size_t min_words);
   void rebuild();
 
   Config cfg_;
@@ -100,6 +115,7 @@ class SubIndex {
   std::vector<std::uint32_t> free_;  ///< recycled slots
   std::size_t live_ = 0;
   std::size_t built_size_ = 0;  ///< live count at the last rebuild
+  std::size_t stride_ = 0;      ///< words per cell row
   mutable std::vector<std::uint64_t> scratch_;  ///< AND accumulator
 };
 

@@ -30,23 +30,41 @@ void ZoneState::set_index_threshold(std::size_t threshold) {
   // if the new threshold indexes the empty set (threshold 0).
   if (!store_ && threshold > 0) return;
   SubStore& st = store();
+  assert(!st.pending);
   if (!st.indexed && st.order.size() >= index_threshold_) build_index();
   if (st.indexed && st.order.size() < index_threshold_) drop_index();
 }
 
 void ZoneState::build_index() {
   SubStore& st = store();
-  st.index = SubIndex{};
-  st.slots.clear();
-  st.pos_of_slot.clear();
-  st.slots.reserve(st.order.size());
-  for (std::size_t i = 0; i < st.order.size(); ++i) {
-    const std::uint32_t slot = st.index.insert(st.arena.full_rect(st.order[i]));
-    st.slots.push_back(slot);
-    if (st.pos_of_slot.size() <= slot) st.pos_of_slot.resize(slot + 1, kNoPos);
-    st.pos_of_slot[slot] = i;
+  const std::size_t n = st.order.size();
+  std::vector<HyperRect> ranges;
+  ranges.reserve(n);
+  for (const SubArena::Ref ref : st.order) {
+    ranges.push_back(st.arena.full_rect(ref));
+  }
+  st.index.assign(std::move(ranges));
+  st.slots.resize(n);
+  st.pos_of_slot.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    st.slots[i] = std::uint32_t(i);
+    st.pos_of_slot[i] = i;
   }
   st.indexed = true;
+}
+
+bool ZoneState::begin_bulk() {
+  SubStore& st = store();
+  if (st.pending) return false;
+  st.pending = true;
+  return true;
+}
+
+void ZoneState::end_bulk() {
+  SubStore& st = *store_;
+  assert(st.pending);
+  st.pending = false;
+  if (st.indexed || st.order.size() >= index_threshold_) build_index();
 }
 
 void ZoneState::drop_index() {
@@ -59,7 +77,7 @@ void ZoneState::drop_index() {
 
 SubArena::Ref ZoneState::find_coverer(SubStore& st,
                                       const HyperRect& full) const {
-  if (!st.indexed) {
+  if (!st.live_index()) {
     for (const SubArena::Ref ref : st.order) {
       if (st.arena.full_covers(ref, full.dims())) return ref;
     }
@@ -83,14 +101,16 @@ SubArena::Ref ZoneState::find_coverer(SubStore& st,
 }
 
 void ZoneState::append_representative(SubStore& st, SubArena::Ref ref) {
-  if (st.indexed) {
+  if (st.live_index()) {
     const std::uint32_t slot = st.index.insert(st.arena.full_rect(ref));
     st.slots.push_back(slot);
     if (st.pos_of_slot.size() <= slot) st.pos_of_slot.resize(slot + 1, kNoPos);
     st.pos_of_slot[slot] = st.order.size();
   }
   st.order.push_back(ref);
-  if (!st.indexed && st.order.size() >= index_threshold_) build_index();
+  if (!st.indexed && !st.pending && st.order.size() >= index_threshold_) {
+    build_index();
+  }
 }
 
 void ZoneState::rehome_coveree(SubStore& st, SubArena::Ref ref) {
@@ -122,14 +142,7 @@ bool ZoneState::add_subscription(StoredSub s) {
     }
   }
   const HyperRect grown = summary_.hull(s.projected);
-  if (st.indexed) {
-    const std::uint32_t slot = st.index.insert(s.sub.range());
-    st.slots.push_back(slot);
-    if (st.pos_of_slot.size() <= slot) st.pos_of_slot.resize(slot + 1, kNoPos);
-    st.pos_of_slot[slot] = st.order.size();
-  }
-  st.order.push_back(st.arena.add(s));
-  if (!st.indexed && st.order.size() >= index_threshold_) build_index();
+  append_representative(st, st.arena.add(s));
   if (grown == summary_) return false;
   summary_ = grown;
   return true;
@@ -138,6 +151,7 @@ bool ZoneState::add_subscription(StoredSub s) {
 std::optional<StoredSub> ZoneState::remove_subscription(const SubId& owner) {
   if (!store_) return std::nullopt;
   SubStore& st = *store_;
+  assert(!st.pending);
   std::size_t pos = st.order.size();
   for (std::size_t i = 0; i < st.order.size(); ++i) {
     if (st.arena.owner(st.order[i]) == owner) {
@@ -212,6 +226,7 @@ void ZoneState::add_migrated_bucket(MigratedBucket b) {
 std::vector<StoredSub> ZoneState::extract_subscribers_in_arc(Id lo, Id hi) {
   if (!store_) return {};
   SubStore& st = *store_;
+  assert(!st.pending);
   std::vector<StoredSub> out;
   // Coverees leaving with the arc (their relation is dropped and they are
   // materialized after the representatives), and coverees staying behind
@@ -288,7 +303,7 @@ void ZoneState::match(const Point& full, const Point& projected,
         }
       }
     };
-    if (!st.indexed) {
+    if (!st.live_index()) {
       for (const SubArena::Ref ref : st.order) {
         if (st.arena.full_contains(ref, full)) emit(ref);
       }
@@ -435,6 +450,7 @@ void ZoneState::save(common::ByteWriter& w) const {
   w.boolean(store_ != nullptr);
   if (!store_) return;
   const SubStore& st = *store_;
+  assert(!st.pending);
   w.u32(std::uint32_t(st.order.size()));
   for (const SubArena::Ref ref : st.order) {
     save_stored_sub(w, st.arena.materialize(ref));

@@ -85,7 +85,8 @@ struct MigratedBucket {
 class ZoneState {
  public:
   /// Below this many stored subscriptions, match() linear-scans; at or
-  /// above it, a SubIndex is built and maintained incrementally. The sweet
+  /// above it, a SubIndex is built in one pass over the zone's population
+  /// and maintained incrementally from then on. The sweet
   /// spot: almost all zones in a distributed run hold a handful of subs
   /// (index overhead would dominate), while hot rendezvous zones grow into
   /// the thousands (scan dominates).
@@ -107,7 +108,17 @@ class ZoneState {
   std::size_t index_threshold() const noexcept { return index_threshold_; }
 
   /// True while match() runs through the subscription index.
-  bool index_active() const noexcept { return store_ && store_->indexed; }
+  bool index_active() const noexcept { return store_ && store_->live_index(); }
+
+  /// Bulk scope for installing many subscriptions in a row. Until
+  /// end_bulk(), add_subscription appends without touching the SubIndex,
+  /// and match() and cover lookups take the scan path: a pending index
+  /// never answers a query. end_bulk() then builds the index once over the
+  /// whole population if the zone was indexed or has crossed the
+  /// threshold. Only additions may happen inside the scope. Returns false
+  /// (and changes nothing) if the zone is already inside one.
+  bool begin_bulk();
+  void end_bulk();
 
   /// Register a real subscription. Returns true if the summary filter grew.
   /// Under cover aggregation, a subscription whose full-space rect is
@@ -249,22 +260,28 @@ class ZoneState {
                                         // only in arena + covers)
     std::vector<MigratedBucket> buckets;
     SubIndex index;
-    bool indexed = false;
+    bool indexed = false;  // the zone matches through `index`
+    bool pending = false;  // bulk scope open: `index` is stale until end_bulk
     std::vector<std::uint32_t> slots;
     std::vector<std::size_t> pos_of_slot;
     std::vector<std::uint32_t> cand;  // match()/find_coverer() scratch
     CoverSet covers;                  // quench bookkeeping (cover_ only)
     Point probe;                      // find_coverer() scratch point
+
+    bool live_index() const noexcept { return indexed && !pending; }
   };
 
   SubStore& store();  // find-or-create
+  /// One-shot build: index every representative, slot i == order[i].
   void build_index();
   void drop_index();
   /// First representative (insertion order) whose full rect covers `full`;
-  /// kNullRef if none. Index-accelerated when the index is live.
+  /// kNullRef if none. Index-accelerated when the index is live (not
+  /// pending).
   SubArena::Ref find_coverer(SubStore& st, const HyperRect& full) const;
-  /// Append a rep to order_ (+ SubIndex when live) without re-adding it to
-  /// the arena — promotion of an already-stored coveree.
+  /// Append an arena-stored rep to order_, and to the SubIndex when live;
+  /// builds the index when the zone crosses the threshold outside a bulk
+  /// scope.
   void append_representative(SubStore& st, SubArena::Ref ref);
   /// Re-home a coveree whose representative left: re-quench under the
   /// first surviving coverer or promote to representative.

@@ -10,6 +10,7 @@
 #include "chord/chord_net.hpp"
 #include "chord/chord_node.hpp"
 #include "chord/ring.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "net/network.hpp"
 
@@ -115,6 +116,71 @@ TEST(ChordNode, ClosestPrecedingPicksGreatestProgress) {
   EXPECT_EQ(n.closest_preceding((Id{1} << 20) + 5).id, Id{1} << 20);
   // No known node in (self, target): self.
   EXPECT_EQ(n.closest_preceding(5).id, 0u);
+}
+
+// The reference closest_preceding: scan fingers 0..63, then the successor
+// list, keeping the first entry of strictly greatest progress inside
+// (id, target).
+NodeRef scan_closest_preceding(const ChordNode& n, Id target) {
+  NodeRef best = n.self();
+  Id best_dist = 0;
+  const auto consider = [&](const NodeRef& r) {
+    if (!r.valid() || r.id == n.id()) return;
+    if (!ring::in_open(r.id, n.id(), target)) return;
+    const Id d = ring::distance(n.id(), r.id);
+    if (d > best_dist) {
+      best_dist = d;
+      best = r;
+    }
+  };
+  for (int i = 0; i < kIdBits; ++i) consider(n.finger(i));
+  for (const auto& r : n.successor_list()) consider(r);
+  return best;
+}
+
+// The sorted-table lookup equals the scan over random mutation sequences
+// that leave invalid entries, self entries and one id under several hosts
+// (the scan order decides which of those wins).
+TEST(ChordNode, ClosestPrecedingMatchesScanUnderMutation) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Id self_id = rng.next_u64();
+    ChordNode n(self_id, 0, 5);
+    std::vector<Id> pool{self_id};
+    for (int i = 0; i < 12; ++i) pool.push_back(rng.next_u64());
+    const auto any_ref = [&]() -> NodeRef {
+      if (rng.chance(0.15)) return NodeRef{};
+      return NodeRef{pool[rng.index(pool.size())],
+                     net::HostIndex(1 + rng.index(3))};
+    };
+    const auto valid_ref = [&] {
+      NodeRef r = any_ref();
+      return r.valid() ? r : NodeRef{pool[1], 1};
+    };
+    for (int step = 0; step < 300; ++step) {
+      const double op = rng.uniform(0.0, 1.0);
+      if (op < 0.6) {
+        n.set_finger(int(rng.index(kIdBits)), any_ref());
+      } else if (op < 0.75) {
+        n.set_successor(valid_ref());
+      } else if (op < 0.88) {
+        std::vector<NodeRef> rest;
+        for (std::size_t k = rng.index(7); k > 0; --k) rest.push_back(any_ref());
+        n.adopt_successor_list(valid_ref(), rest);
+      } else if (op < 0.98) {
+        n.remove_peer(pool[rng.index(pool.size())]);
+      } else {
+        n.reset_routing_state();
+      }
+      for (int q = 0; q < 8; ++q) {
+        Id target = rng.next_u64();
+        if (q < 6) target = pool[rng.index(pool.size())] + Id(q % 3) - 1;
+        const NodeRef want = scan_closest_preceding(n, target);
+        const NodeRef got = n.closest_preceding(target);
+        ASSERT_EQ(got, want) << "trial " << trial << " step " << step;
+      }
+    }
+  }
 }
 
 TEST(ChordNode, NeighborsDedupes) {

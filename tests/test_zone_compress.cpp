@@ -435,6 +435,54 @@ TEST(ZoneCompress, RecordShadowedByZoneStateFailsAudit) {
   FAIL() << "no piece-zone record formed";
 }
 
+// A piece record moved to a host that does not own its key fails the
+// cross-node audit, as long as exactly one live node claims the key. When a
+// stale predecessor makes a second node claim it, ownership is ambiguous
+// and the audit skips the key; an irregular claim that stops short of the
+// key leaves the owner unique again.
+TEST(ZoneCompress, MisplacedRecordFailsAuditUnlessOwnershipAmbiguous) {
+  Stack s = make_stack({.seed = 23, .compress = true});
+  Rng rng(71);
+  for (int i = 0; i < 60; ++i) {
+    s.sys->subscribe(net::HostIndex(rng.index(32)), s.scheme,
+                     s.gen->make_subscription());
+  }
+  s.sim->run();
+  ASSERT_TRUE(s.sys->check_zone_invariants());
+
+  const auto ring = s.chord->oracle_ring();
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const net::HostIndex h = ring[i].host;
+    core::HyperSubNode& nd = s.sys->node(h);
+    if (nd.piece_zones().empty()) continue;
+    core::PieceZone rec;
+    nd.piece_zones().for_each([&](const core::PieceZone& z) {
+      if (rec.piece.empty() && z.key != ring[i].id) rec = z;
+    });
+    if (rec.piece.empty()) continue;
+    const chord::NodeRef next = ring[(i + 1) % ring.size()];
+    const chord::NodeRef prev = ring[(i + ring.size() - 1) % ring.size()];
+    core::HyperSubNode& other = s.sys->node(next.host);
+    chord::ChordNode& other_chord = s.chord->node(next.host);
+
+    other.piece_zones().insert(*nd.piece_zones().take(rec.addr, rec.key));
+    EXPECT_FALSE(s.sys->check_zone_invariants()) << "misplaced";
+
+    other_chord.set_predecessor(prev);  // next now claims h's keys too
+    EXPECT_TRUE(s.sys->check_zone_invariants()) << "ambiguous owner";
+
+    // next's predecessor is now no live node: it claims (h + 1, next].
+    other_chord.set_predecessor(chord::NodeRef{ring[i].id + 1, h});
+    EXPECT_FALSE(s.sys->check_zone_invariants()) << "unique owner again";
+
+    other_chord.set_predecessor(ring[i]);
+    nd.piece_zones().insert(*other.piece_zones().take(rec.addr, rec.key));
+    EXPECT_TRUE(s.sys->check_zone_invariants()) << "restored";
+    return;
+  }
+  FAIL() << "no piece-zone record formed";
+}
+
 // --- determinism ----------------------------------------------------------
 
 // The byte-identity contract survives compression: the same scripted run
