@@ -3,13 +3,15 @@
 //
 // Besides the google-benchmark timings, running this binary performs a
 // subs-per-zone sweep comparing the SubIndex-backed match against the
-// linear scan, plus the index's build cost (one-shot SubIndex::assign
-// against one insert per subscription), and writes machine-readable
+// linear scan, the index's build cost (one-shot SubIndex::assign against
+// one insert per subscription), and the cost of one remove_subscription at
+// 1k, 10k and 50k subscriptions per zone, and writes machine-readable
 // results to BENCH_match.json (override with --json=PATH) so successive
 // changes can track the matching trajectory.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/rng.hpp"
 #include "core/sub_index.hpp"
 #include "core/zone_state.hpp"
 #include "workload/zipf_workload.hpp"
@@ -202,6 +205,82 @@ BuildRow build_point(std::size_t subs) {
   return row;
 }
 
+struct RemoveRow {
+  std::size_t subs = 0;
+  double ns_per_remove = 0.0;
+  double face_share = 0.0;  ///< share of subs attaining a summary face
+  double face_victims = 0.0;  ///< share of timed removals that did
+};
+
+/// True if `r` attains at least one face of `summary`.
+bool attains_face(const HyperRect& r, const HyperRect& summary) {
+  for (std::size_t d = 0; d < r.dimensions(); ++d) {
+    if (r.dim(d).lo == summary.dim(d).lo || r.dim(d).hi == summary.dim(d).hi) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Average ns per remove_subscription on an indexed zone holding `subs`
+/// table1 subscriptions. Each round removes 64 victims back to back
+/// (timed) and re-adds them (untimed), so the zone keeps its size; a
+/// quarter of the victims attain a face of the zone's summary, the rest
+/// are drawn uniformly. Rounds repeat for at least ~20 ms of removals.
+RemoveRow remove_point(std::size_t subs) {
+  using clock = std::chrono::steady_clock;
+  constexpr std::size_t kBatch = 64;
+  RemoveRow row;
+  row.subs = subs;
+  core::ZoneState z(core::ZoneAddr{});
+  workload::WorkloadGenerator gen(workload::table1_spec(), 1);
+  std::vector<core::StoredSub> stored;
+  for (std::size_t i = 0; i < subs; ++i) {
+    const auto sub = gen.make_subscription();
+    stored.push_back(core::StoredSub{
+        core::SubId{i, std::uint32_t(i), core::SubIdKind::kSubscriber}, sub,
+        sub.range()});
+    z.add_subscription(stored.back());
+  }
+  std::vector<std::size_t> on_face;
+  for (std::size_t i = 0; i < subs; ++i) {
+    if (attains_face(stored[i].projected, z.summary())) on_face.push_back(i);
+  }
+  row.face_share = double(on_face.size()) / double(subs);
+
+  Rng rng(7);
+  std::vector<std::size_t> victims;
+  std::size_t removed = 0;
+  std::size_t face_removed = 0;
+  double elapsed_ns = 0.0;
+  while (removed < 4 * kBatch || elapsed_ns < 2e7) {
+    victims.clear();
+    while (victims.size() < kBatch) {
+      const std::size_t v = victims.size() % 4 == 0 && !on_face.empty()
+                                ? on_face[rng.index(on_face.size())]
+                                : rng.index(subs);
+      if (std::find(victims.begin(), victims.end(), v) == victims.end()) {
+        victims.push_back(v);
+      }
+    }
+    for (const std::size_t v : victims) {
+      face_removed += attains_face(stored[v].projected, z.summary()) ? 1 : 0;
+    }
+    const auto t0 = clock::now();
+    for (const std::size_t v : victims) {
+      benchmark::DoNotOptimize(z.remove_subscription(stored[v].owner));
+    }
+    elapsed_ns += double(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             clock::now() - t0)
+                             .count());
+    removed += victims.size();
+    for (const std::size_t v : victims) z.add_subscription(stored[v]);
+  }
+  row.ns_per_remove = elapsed_ns / double(removed);
+  row.face_victims = double(face_removed) / double(removed);
+  return row;
+}
+
 bool run_sweep(const std::string& json_path, bool quick) {
   // Quick mode (CI bench-sanity): only the 1000-subs point — enough to
   // catch an index regression without minutes of sweep time.
@@ -229,6 +308,19 @@ bool run_sweep(const std::string& json_path, bool quick) {
     const auto& b = builds.back();
     std::printf("%10zu %14.0f %16.0f %8.1fx\n", b.subs, b.ns_one_shot,
                 b.ns_incremental, b.ns_incremental / b.ns_one_shot);
+  }
+
+  // All three points in quick mode too: the CI gate compares 50k with 1k.
+  std::vector<RemoveRow> removes;
+  std::printf("\nremove_subscription cost (indexed zone, table1 workload):\n");
+  std::printf("%10s %12s %12s %14s\n", "subs", "ns/remove", "face subs",
+              "face victims");
+  for (const std::size_t n :
+       {std::size_t{1000}, std::size_t{10000}, std::size_t{50000}}) {
+    removes.push_back(remove_point(n));
+    const auto& r = removes.back();
+    std::printf("%10zu %12.0f %11.1f%% %13.1f%%\n", r.subs, r.ns_per_remove,
+                100.0 * r.face_share, 100.0 * r.face_victims);
   }
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -262,6 +354,16 @@ bool run_sweep(const std::string& json_path, bool quick) {
                  "\"ns_per_sub_incremental\": %.1f}%s\n",
                  b.subs, b.ns_one_shot, b.ns_incremental,
                  i + 1 < builds.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"remove\": [\n");
+  for (std::size_t i = 0; i < removes.size(); ++i) {
+    const auto& r = removes[i];
+    std::fprintf(f,
+                 "    {\"subs_per_zone\": %zu, \"ns_per_remove\": %.1f, "
+                 "\"face_sub_share\": %.4f, \"face_victim_share\": %.4f}%s\n",
+                 r.subs, r.ns_per_remove, r.face_share, r.face_victims,
+                 i + 1 < removes.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

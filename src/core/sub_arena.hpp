@@ -97,6 +97,14 @@ class SubArena {
   std::size_t size() const noexcept { return live_; }
   bool empty() const noexcept { return live_ == 0; }
 
+  /// Visit every live ref, in ref order.
+  template <typename F>
+  void for_each(F&& fn) const {
+    for (Ref r = 0; r < slots_.size(); ++r) {
+      if (slots_[r].live) fn(r);
+    }
+  }
+
   const SubId& owner(Ref r) const {
     assert(slots_[r].live);
     return slots_[r].owner;

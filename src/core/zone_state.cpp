@@ -1,8 +1,10 @@
 #include "core/zone_state.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+#include <tuple>
 
 #include "common/ids.hpp"
 #include "core/state_wire.hpp"
@@ -12,8 +14,64 @@ namespace hypersub::core {
 namespace {
 const HyperRect kEmptyRect{};
 const std::vector<MigratedBucket> kNoBuckets{};
-constexpr std::size_t kNoPos = ~std::size_t{0};
+constexpr std::uint32_t kNoPos = ~std::uint32_t{0};
+constexpr std::size_t kNotRep = ~std::size_t{0};
 }  // namespace
+
+// -- OwnerTable ---------------------------------------------------------------
+
+std::size_t ZoneState::OwnerTable::home(const SubId& owner) const noexcept {
+  const std::uint64_t h = splitmix64(
+      owner.target ^
+      splitmix64((std::uint64_t(owner.iid) << 8) | std::uint64_t(owner.kind)));
+  return std::size_t(h) & mask();
+}
+
+void ZoneState::OwnerTable::place(Ref ref, const SubArena& arena) {
+  std::size_t i = home(arena.owner(ref));
+  while (slots_[i] != SubArena::kNullRef) i = (i + 1) & mask();
+  slots_[i] = ref;
+}
+
+void ZoneState::OwnerTable::assign(const SubArena& arena) {
+  std::size_t capacity = 16;
+  while (capacity < 2 * arena.size()) capacity *= 2;
+  slots_.assign(capacity, SubArena::kNullRef);
+  arena.for_each([&](Ref r) { place(r, arena); });
+}
+
+void ZoneState::OwnerTable::insert(Ref ref, const SubArena& arena) {
+  if (2 * arena.size() > slots_.size()) {
+    std::vector<Ref> old = std::move(slots_);
+    slots_.assign(std::max<std::size_t>(16, 2 * old.size()),
+                  SubArena::kNullRef);
+    for (const Ref r : old) {
+      if (r != SubArena::kNullRef) place(r, arena);
+    }
+  }
+  place(ref, arena);
+}
+
+void ZoneState::OwnerTable::erase(Ref ref, const SubArena& arena) {
+  std::size_t i = home(arena.owner(ref));
+  while (slots_[i] != ref) {
+    assert(slots_[i] != SubArena::kNullRef);
+    i = (i + 1) & mask();
+  }
+  // Backward shift: an entry later in the cluster moves into the hole
+  // unless its home lies cyclically in (hole, its slot].
+  for (std::size_t j = (i + 1) & mask(); slots_[j] != SubArena::kNullRef;
+       j = (j + 1) & mask()) {
+    const std::size_t k = home(arena.owner(slots_[j]));
+    const bool stays = i <= j ? (i < k && k <= j) : (i < k || k <= j);
+    if (stays) continue;
+    slots_[i] = slots_[j];
+    i = j;
+  }
+  slots_[i] = SubArena::kNullRef;
+}
+
+// -- ZoneState ----------------------------------------------------------------
 
 ZoneState::SubStore& ZoneState::store() {
   if (!store_) store_ = std::make_unique<SubStore>();
@@ -31,25 +89,28 @@ void ZoneState::set_index_threshold(std::size_t threshold) {
   if (!store_ && threshold > 0) return;
   SubStore& st = store();
   assert(!st.pending);
-  if (!st.indexed && st.order.size() >= index_threshold_) build_index();
-  if (st.indexed && st.order.size() < index_threshold_) drop_index();
+  if (!st.indexed && st.live_reps() >= index_threshold_) build_index();
+  if (st.indexed && st.live_reps() < index_threshold_) drop_index();
 }
 
 void ZoneState::build_index() {
   SubStore& st = store();
+  st.indexed = false;  // compact() must not remap the stale slot tables
+  compact(st);
   const std::size_t n = st.order.size();
   std::vector<HyperRect> ranges;
   ranges.reserve(n);
-  for (const SubArena::Ref ref : st.order) {
-    ranges.push_back(st.arena.full_rect(ref));
-  }
-  st.index.assign(std::move(ranges));
-  st.slots.resize(n);
+  st.slot_of_ref.clear();
   st.pos_of_slot.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    st.slots[i] = std::uint32_t(i);
-    st.pos_of_slot[i] = i;
+    const SubArena::Ref ref = st.order[i];
+    ranges.push_back(st.arena.full_rect(ref));
+    if (st.slot_of_ref.size() <= ref) st.slot_of_ref.resize(ref + 1, kNoPos);
+    st.slot_of_ref[ref] = std::uint32_t(i);
+    st.pos_of_slot[i] = std::uint32_t(i);
   }
+  st.index.assign(std::move(ranges));
+  st.owners.assign(st.arena);
   st.indexed = true;
 }
 
@@ -64,14 +125,15 @@ void ZoneState::end_bulk() {
   SubStore& st = *store_;
   assert(st.pending);
   st.pending = false;
-  if (st.indexed || st.order.size() >= index_threshold_) build_index();
+  if (st.indexed || st.live_reps() >= index_threshold_) build_index();
 }
 
 void ZoneState::drop_index() {
   SubStore& st = store();
   st.index = SubIndex{};
-  st.slots.clear();
-  st.pos_of_slot.clear();
+  st.slot_of_ref = {};
+  st.pos_of_slot = {};
+  st.owners = OwnerTable{};
   st.indexed = false;
 }
 
@@ -79,7 +141,10 @@ SubArena::Ref ZoneState::find_coverer(SubStore& st,
                                       const HyperRect& full) const {
   if (!st.live_index()) {
     for (const SubArena::Ref ref : st.order) {
-      if (st.arena.full_covers(ref, full.dims())) return ref;
+      if (ref != SubArena::kNullRef &&
+          st.arena.full_covers(ref, full.dims())) {
+        return ref;
+      }
     }
     return SubArena::kNullRef;
   }
@@ -103,14 +168,97 @@ SubArena::Ref ZoneState::find_coverer(SubStore& st,
 void ZoneState::append_representative(SubStore& st, SubArena::Ref ref) {
   if (st.live_index()) {
     const std::uint32_t slot = st.index.insert(st.arena.full_rect(ref));
-    st.slots.push_back(slot);
+    if (st.slot_of_ref.size() <= ref) st.slot_of_ref.resize(ref + 1, kNoPos);
+    st.slot_of_ref[ref] = slot;
     if (st.pos_of_slot.size() <= slot) st.pos_of_slot.resize(slot + 1, kNoPos);
-    st.pos_of_slot[slot] = st.order.size();
+    st.pos_of_slot[slot] = std::uint32_t(st.order.size());
   }
   st.order.push_back(ref);
-  if (!st.indexed && !st.pending && st.order.size() >= index_threshold_) {
+  if (!st.indexed && !st.pending && st.live_reps() >= index_threshold_) {
     build_index();
   }
+}
+
+void ZoneState::drop_representative(SubStore& st, std::size_t pos) {
+  const SubArena::Ref ref = st.order[pos];
+  if (st.indexed) {
+    // Once built, the index sticks below the threshold (hysteresis): churn
+    // around the threshold should not oscillate between builds and drops.
+    const std::uint32_t slot = st.slot_of_ref[ref];
+    st.index.remove(slot);
+    st.pos_of_slot[slot] = kNoPos;
+    st.owners.erase(ref, st.arena);
+  }
+  st.order[pos] = SubArena::kNullRef;
+  ++st.dead;
+}
+
+void ZoneState::release(SubStore& st, SubArena::Ref ref) {
+  if (st.indexed) st.owners.erase(ref, st.arena);
+  st.covers.release(ref);  // no-op once its representative has left
+  st.arena.remove(ref);
+}
+
+void ZoneState::compact(SubStore& st) {
+  if (st.dead == 0) return;
+  std::size_t kept = 0;
+  for (const SubArena::Ref ref : st.order) {
+    if (ref == SubArena::kNullRef) continue;
+    if (st.indexed) st.pos_of_slot[st.slot_of_ref[ref]] = std::uint32_t(kept);
+    st.order[kept++] = ref;
+  }
+  st.order.resize(kept);
+  st.dead = 0;
+}
+
+std::pair<SubArena::Ref, std::size_t> ZoneState::find_owner(
+    const SubStore& st, const SubId& owner) const {
+  if (st.live_index()) {
+    // Where one owner has several entries, pick the one the scan below
+    // would: representatives first, by position; then coverees, by their
+    // representative's position and their quench order.
+    const auto pos_of = [&](SubArena::Ref rep) {
+      return std::size_t(st.pos_of_slot[st.slot_of_ref[rep]]);
+    };
+    const auto rank = [&](SubArena::Ref ref) {
+      const SubArena::Ref rep = st.covers.rep_of(ref);
+      if (rep == SubArena::kNullRef) {
+        return std::tuple(0, pos_of(ref), std::size_t{0});
+      }
+      const auto& list = *st.covers.coverees(rep);
+      return std::tuple(
+          1, pos_of(rep),
+          std::size_t(std::find(list.begin(), list.end(), ref) - list.begin()));
+    };
+    const SubArena::Ref ref = st.owners.find(
+        owner, st.arena,
+        [&](SubArena::Ref a, SubArena::Ref b) { return rank(a) < rank(b); });
+    if (ref == SubArena::kNullRef ||
+        st.covers.rep_of(ref) != SubArena::kNullRef) {
+      return {ref, kNotRep};
+    }
+    return {ref, pos_of(ref)};
+  }
+  for (std::size_t i = 0; i < st.order.size(); ++i) {
+    const SubArena::Ref ref = st.order[i];
+    if (ref != SubArena::kNullRef && st.arena.owner(ref) == owner) {
+      return {ref, i};
+    }
+  }
+  // Not a representative — maybe a quenched coveree. Enumerate via the
+  // representatives (insertion order), never the hash maps, so lookup
+  // order is deterministic.
+  if (cover_ && !st.covers.empty()) {
+    for (const SubArena::Ref rep : st.order) {
+      if (rep == SubArena::kNullRef) continue;
+      const auto* list = st.covers.coverees(rep);
+      if (list == nullptr) continue;
+      for (const SubArena::Ref ref : *list) {
+        if (st.arena.owner(ref) == owner) return {ref, kNotRep};
+      }
+    }
+  }
+  return {SubArena::kNullRef, kNotRep};
 }
 
 void ZoneState::rehome_coveree(SubStore& st, SubArena::Ref ref) {
@@ -137,12 +285,18 @@ bool ZoneState::add_subscription(StoredSub s) {
       // quenched projection is inside the representative's — the summary
       // cannot grow and nothing propagates upward.
       assert(summary_.covers(s.projected));
-      st.covers.quench(rep, st.arena.add(s));
+      const SubArena::Ref ref = st.arena.add(s);
+      st.covers.quench(rep, ref);
+      if (st.live_index()) st.owners.insert(ref, st.arena);
       return false;
     }
   }
   const HyperRect grown = summary_.hull(s.projected);
-  append_representative(st, st.arena.add(s));
+  const SubArena::Ref ref = st.arena.add(s);
+  // A threshold-crossing build in append_representative covers the new
+  // entry itself.
+  if (st.live_index()) st.owners.insert(ref, st.arena);
+  append_representative(st, ref);
   if (grown == summary_) return false;
   summary_ = grown;
   return true;
@@ -152,67 +306,82 @@ std::optional<StoredSub> ZoneState::remove_subscription(const SubId& owner) {
   if (!store_) return std::nullopt;
   SubStore& st = *store_;
   assert(!st.pending);
-  std::size_t pos = st.order.size();
-  for (std::size_t i = 0; i < st.order.size(); ++i) {
-    if (st.arena.owner(st.order[i]) == owner) {
-      pos = i;
-      break;
-    }
+  const auto [ref, pos] = find_owner(st, owner);
+  if (ref == SubArena::kNullRef) return std::nullopt;
+  StoredSub out = st.arena.materialize(ref);
+  if (pos == kNotRep) {
+    // A coveree lies inside its representative's rect, which is still
+    // registered: the summary is unchanged.
+    release(st, ref);
+    return out;
   }
-  if (pos == st.order.size()) {
-    // Not a representative — maybe a quenched coveree. Enumerate via the
-    // representatives (insertion order), never the hash maps, so lookup
-    // order is deterministic.
-    if (!cover_ || st.covers.empty()) return std::nullopt;
-    for (const SubArena::Ref rep : st.order) {
-      const auto* list = st.covers.coverees(rep);
-      if (list == nullptr) continue;
-      for (const SubArena::Ref ref : *list) {
-        if (st.arena.owner(ref) == owner) {
-          StoredSub out = st.arena.materialize(ref);
-          st.covers.release(ref);
-          st.arena.remove(ref);
-          // A coveree lies inside its representative's rect, which is
-          // still registered: the summary is unchanged.
-          return out;
-        }
-      }
-    }
-    return std::nullopt;
-  }
-  const SubArena::Ref ref = st.order[pos];
   // Un-quench promotion: the leaving representative's coverees re-home in
   // quench order — each re-quenches under the first surviving coverer or
   // becomes a representative itself.
   std::vector<SubArena::Ref> orphans = st.covers.take_coverees(ref);
-  StoredSub out = st.arena.materialize(ref);
+  drop_representative(st, pos);
   st.arena.remove(ref);
-  st.order.erase(st.order.begin() + std::ptrdiff_t(pos));
-  if (st.indexed) {
-    // Once built, the index sticks below the threshold (hysteresis): churn
-    // around the threshold should not oscillate between builds and drops.
-    st.index.remove(st.slots[pos]);
-    st.pos_of_slot[st.slots[pos]] = kNoPos;
-    st.slots.erase(st.slots.begin() + std::ptrdiff_t(pos));
-    for (std::size_t i = pos; i < st.slots.size(); ++i) {
-      st.pos_of_slot[st.slots[i]] = i;
-    }
-  }
   for (const SubArena::Ref o : orphans) rehome_coveree(st, o);
-  recompute_summary();
+  shrink_summary(out.projected.dims());
+  if (st.dead > st.live_reps()) compact(st);
   return out;
 }
 
 bool ZoneState::set_parent_piece(HyperRect rect, Id parent_key) {
   // An empty rect clears the piece (the parent's summary shrank away from
-  // this child). Replace-then-recompute also handles shrinking pieces.
-  if (rect.empty()) {
-    if (!parent_piece_) return false;
-    parent_piece_.reset();
-  } else {
+  // this child).
+  if (rect.empty() && !parent_piece_) return false;
+  const HyperRect before = summary_;
+  const auto old = std::exchange(parent_piece_, std::nullopt);
+  // The old piece leaves the contents — unless the new one covers it: then
+  // the hull below absorbs every face the old one attained.
+  if (old && (rect.empty() || !rect.covers(old->first))) {
+    shrink_summary(old->first.dims());
+  }
+  if (!rect.empty()) {
+    summary_ = summary_.hull(rect);
     parent_piece_ = {std::move(rect), parent_key};
   }
-  return recompute_summary();
+  return !(summary_ == before);
+}
+
+void ZoneState::shrink_summary(std::span<const Interval> gone) {
+  const std::size_t d = gone.size();
+  if (summary_.empty()) return;
+  if (d > 32 || store_ == nullptr) {
+    recompute_summary();  // faces do not fit the mask / nothing else left
+    return;
+  }
+  // Bit 2i: `gone` attains the lo face of dimension i; bit 2i+1: the hi.
+  std::uint64_t open = 0;
+  for (std::size_t i = 0; i < d; ++i) {
+    if (gone[i].lo == summary_.dim(i).lo) open |= std::uint64_t{1} << (2 * i);
+    if (gone[i].hi == summary_.dim(i).hi) {
+      open |= std::uint64_t{1} << (2 * i + 1);
+    }
+  }
+  if (open == 0) return;
+  const auto witness = [&](std::span<const Interval> r) {
+    for (std::uint64_t bits = open; bits != 0; bits &= bits - 1) {
+      const int f = std::countr_zero(bits);
+      const Interval& s = summary_.dim(std::size_t(f / 2));
+      const Interval& x = r[std::size_t(f / 2)];
+      if (f % 2 == 0 ? x.lo == s.lo : x.hi == s.hi) {
+        open &= ~(std::uint64_t{1} << f);
+      }
+    }
+    return open == 0;
+  };
+  if (parent_piece_ && witness(parent_piece_->first.dims())) return;
+  for (const MigratedBucket& b : store_->buckets) {
+    if (witness(b.summary.dims())) return;
+  }
+  for (const SubArena::Ref ref : store_->order) {
+    if (ref != SubArena::kNullRef && witness(store_->arena.projected(ref))) {
+      return;
+    }
+  }
+  recompute_summary();
 }
 
 void ZoneState::add_migrated_bucket(MigratedBucket b) {
@@ -233,9 +402,9 @@ std::vector<StoredSub> ZoneState::extract_subscribers_in_arc(Id lo, Id hi) {
   // while their representative leaves (re-homed below).
   std::vector<SubArena::Ref> leaving_coverees;
   std::vector<SubArena::Ref> orphans;
-  std::size_t kept = 0;
   for (std::size_t i = 0; i < st.order.size(); ++i) {
     const SubArena::Ref ref = st.order[i];
+    if (ref == SubArena::kNullRef) continue;
     const bool leaves =
         ring::in_closed_open(st.arena.owner(ref).target, lo, hi);
     if (cover_) {
@@ -251,31 +420,17 @@ std::vector<StoredSub> ZoneState::extract_subscribers_in_arc(Id lo, Id hi) {
       if (leaves) st.covers.take_coverees(ref);
     }
     if (leaves) {
-      if (st.indexed) st.index.remove(st.slots[i]);
       out.push_back(st.arena.materialize(ref));
+      drop_representative(st, i);
       st.arena.remove(ref);
-    } else {
-      if (kept != i) {
-        st.order[kept] = st.order[i];
-        if (st.indexed) st.slots[kept] = st.slots[i];
-      }
-      ++kept;
-    }
-  }
-  st.order.resize(kept);
-  if (st.indexed) {
-    st.slots.resize(kept);
-    std::fill(st.pos_of_slot.begin(), st.pos_of_slot.end(), kNoPos);
-    for (std::size_t i = 0; i < st.slots.size(); ++i) {
-      st.pos_of_slot[st.slots[i]] = i;
     }
   }
   for (const SubArena::Ref c : leaving_coverees) {
-    st.covers.release(c);  // no-op for coverees of a representative that left
     out.push_back(st.arena.materialize(c));
-    st.arena.remove(c);
+    release(st, c);
   }
   for (const SubArena::Ref o : orphans) rehome_coveree(st, o);
+  compact(st);
   // Shrink the summary exactly. Leaving it "still a valid cover" (the old
   // contract) meant a donor kept attracting events that matched nothing
   // locally forever after a migration — and after a failed pointer leg,
@@ -305,7 +460,9 @@ void ZoneState::match(const Point& full, const Point& projected,
     };
     if (!st.live_index()) {
       for (const SubArena::Ref ref : st.order) {
-        if (st.arena.full_contains(ref, full)) emit(ref);
+        if (ref != SubArena::kNullRef && st.arena.full_contains(ref, full)) {
+          emit(ref);
+        }
       }
     } else {
       st.cand.clear();
@@ -351,6 +508,7 @@ std::vector<StoredSub> ZoneState::subscriptions() const {
   std::vector<StoredSub> out;
   out.reserve(store_->arena.size());
   for (const SubArena::Ref ref : store_->order) {
+    if (ref == SubArena::kNullRef) continue;
     out.push_back(store_->arena.materialize(ref));
     if (const auto* list = store_->covers.coverees(ref)) {
       for (const SubArena::Ref c : *list) {
@@ -387,7 +545,7 @@ void ZoneState::set_child_piece(int digit, HyperRect piece) {
 
 HyperRect ZoneState::exact_summary() const {
   // Fold hulls dimension-wise over the arena's projected pool — no
-  // per-subscription HyperRect temporaries (this runs after every removal).
+  // per-subscription HyperRect temporaries.
   std::vector<Interval> acc;
   bool have = false;
   const auto fold = [&](std::span<const Interval> d) {
@@ -402,7 +560,7 @@ HyperRect ZoneState::exact_summary() const {
   };
   if (store_) {
     for (const SubArena::Ref ref : store_->order) {
-      fold(store_->arena.projected(ref));
+      if (ref != SubArena::kNullRef) fold(store_->arena.projected(ref));
     }
   }
   if (parent_piece_) fold(parent_piece_->first.dims());
@@ -420,17 +578,7 @@ bool ZoneState::recompute_summary() {
 }
 
 bool ZoneState::has_subscription(const SubId& owner) const {
-  if (!store_) return false;
-  const SubStore& st = *store_;
-  for (const SubArena::Ref ref : st.order) {
-    if (st.arena.owner(ref) == owner) return true;
-    if (const auto* list = st.covers.coverees(ref)) {
-      for (const SubArena::Ref c : *list) {
-        if (st.arena.owner(c) == owner) return true;
-      }
-    }
-  }
-  return false;
+  return store_ && find_owner(*store_, owner).first != SubArena::kNullRef;
 }
 
 void ZoneState::save(common::ByteWriter& w) const {
@@ -451,8 +599,9 @@ void ZoneState::save(common::ByteWriter& w) const {
   if (!store_) return;
   const SubStore& st = *store_;
   assert(!st.pending);
-  w.u32(std::uint32_t(st.order.size()));
+  w.u32(std::uint32_t(st.live_reps()));
   for (const SubArena::Ref ref : st.order) {
+    if (ref == SubArena::kNullRef) continue;
     save_stored_sub(w, st.arena.materialize(ref));
     const auto* list = st.covers.coverees(ref);
     w.u32(list ? std::uint32_t(list->size()) : 0);
@@ -553,6 +702,7 @@ std::uint64_t ZoneState::fingerprint() const {
       return mix_rect(h, st.arena.projected_rect(ref));
     };
     for (const SubArena::Ref ref : st.order) {
+      if (ref == SubArena::kNullRef) continue;
       parts.push_back(sub_digest(ref));
       if (const auto* list = st.covers.coverees(ref)) {
         for (const SubArena::Ref c : *list) parts.push_back(sub_digest(c));
@@ -601,8 +751,9 @@ std::size_t ZoneState::store_bytes() const noexcept {
   std::size_t bytes = sizeof(SubStore) + st.arena.memory_bytes() +
                       st.order.capacity() * sizeof(SubArena::Ref) +
                       st.buckets.capacity() * sizeof(MigratedBucket) +
-                      st.slots.capacity() * sizeof(std::uint32_t) +
-                      st.pos_of_slot.capacity() * sizeof(std::size_t) +
+                      st.slot_of_ref.capacity() * sizeof(std::uint32_t) +
+                      st.pos_of_slot.capacity() * sizeof(std::uint32_t) +
+                      st.owners.memory_bytes() +
                       st.cand.capacity() * sizeof(std::uint32_t) +
                       st.probe.capacity() * sizeof(double);
   if (st.indexed) bytes += st.index.memory_bytes();

@@ -20,10 +20,19 @@
 // memory. `order_` keeps the refs in insertion order — match() emits
 // subids in exactly that order, which is the behavior contract the
 // old vector<StoredSub> layout established (tests/test_match_index.cpp).
+//
+// Removal is O(d) amortised when the summary faces the leaving rect attained
+// find witnesses early (DESIGN.md "Constant-time removal"): a removed
+// position becomes a tombstone that every reader of `order_` skips, indexed
+// zones find an owner through an OwnerTable, and the summary is refolded
+// only when a face the leaving rect attained has no other witness. The last
+// holder of a face leaving costs O(n): a full witness scan, then the refold.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/hyperrect.hpp"
@@ -129,13 +138,16 @@ class ZoneState {
   bool add_subscription(StoredSub s);
 
   /// Remove a subscription by owner identity; returns the removed entry.
-  /// Shrinks the summary filter (recomputed exactly). Removing a covering
+  /// With several entries of one owner, the first representative in
+  /// insertion order goes, else the first coveree (representatives in
+  /// insertion order, each's coverees in quench order). Shrinks the summary
+  /// filter exactly (see shrink_summary). Removing a covering
   /// representative promotes its coverees in quench order: each either
   /// re-quenches under a surviving representative or joins order_/SubIndex.
   std::optional<StoredSub> remove_subscription(const SubId& owner);
 
-  /// Install/refresh the surrogate piece from the parent zone. Returns true
-  /// if the summary filter grew.
+  /// Install/refresh the surrogate piece from the parent zone (an empty
+  /// rect clears it). Returns true if the summary filter changed.
   bool set_parent_piece(HyperRect rect, Id parent_key);
 
   /// Record a migrated bucket pointer (kept by the migration origin).
@@ -179,7 +191,7 @@ class ZoneState {
   /// order_/SubIndex), subscriptions quenched under a representative, and
   /// promotions performed when a representative left.
   std::size_t cover_representatives() const noexcept {
-    return store_ ? store_->order.size() : 0;
+    return store_ ? store_->live_reps() : 0;
   }
   std::size_t cover_quenched() const noexcept {
     return store_ ? store_->covers.quenched_count() : 0;
@@ -201,7 +213,8 @@ class ZoneState {
   }
 
   /// Exact recompute of the summary filter from current contents.
-  /// Returns true if it changed. (Used after removals.)
+  /// Returns true if it changed. (Used after extractions, and after a
+  /// removal that leaves a face without a witness.)
   bool recompute_summary();
 
   /// The exact hull of current contents, freshly folded without touching
@@ -244,6 +257,53 @@ class ZoneState {
   std::size_t store_bytes() const noexcept;
 
  private:
+  /// Owner -> arena ref lookup of one indexed zone: a flat open-addressing
+  /// table of 4-byte refs that hashes and compares through the arena's owner
+  /// ids (linear probing, backward-shift erase). It holds every live entry
+  /// of its arena, so the arena's size is its load, kept <= 1/2; erase never
+  /// shrinks the table. An entry is a ref, not a copy of its SubId: after a
+  /// build or growth step the table costs 8-16 bytes per stored
+  /// subscription. Several refs may share one owner; find() then returns the
+  /// one `earlier` ranks first.
+  class OwnerTable {
+   public:
+    using Ref = SubArena::Ref;
+
+    /// Replace the contents with every live entry of `arena` (coverees
+    /// between representatives included, e.g. orphans mid re-homing).
+    void assign(const SubArena& arena);
+    /// Add `ref`, just added to `arena`.
+    void insert(Ref ref, const SubArena& arena);
+    /// Remove `ref` itself (it must be stored and still live in `arena`).
+    void erase(Ref ref, const SubArena& arena);
+    /// Best stored ref owned by `owner` under `earlier(a, b)` ("a before b");
+    /// kNullRef if none.
+    template <typename Earlier>
+    Ref find(const SubId& owner, const SubArena& arena, Earlier earlier) const {
+      if (slots_.empty()) return SubArena::kNullRef;
+      Ref best = SubArena::kNullRef;
+      for (std::size_t i = home(owner); slots_[i] != SubArena::kNullRef;
+           i = (i + 1) & mask()) {
+        const Ref r = slots_[i];
+        if (arena.owner(r) == owner &&
+            (best == SubArena::kNullRef || earlier(r, best))) {
+          best = r;
+        }
+      }
+      return best;
+    }
+    std::size_t memory_bytes() const noexcept {
+      return slots_.capacity() * sizeof(Ref);
+    }
+
+   private:
+    std::size_t mask() const noexcept { return slots_.size() - 1; }
+    std::size_t home(const SubId& owner) const noexcept;
+    void place(Ref ref, const SubArena& arena);  // probe + store, no growth
+
+    std::vector<Ref> slots_;  // kNullRef == empty
+  };
+
   // Subscription storage + matching index, boxed behind one pointer and
   // allocated on first use. The vast majority of zones in a large run are
   // structural: they exist only to carry a summary piece down the tree and
@@ -252,23 +312,32 @@ class ZoneState {
   // zones to the address, the piece, the summary and the child-piece
   // cache — the dominant RSS term at saturation scale.
   //
-  // `slots[i]` is the index slot of `order[i]`; `pos_of_slot` inverts it.
+  // `order` holds representatives in insertion order; a removed one leaves
+  // a kNullRef tombstone, so positions stay put until compact() squeezes
+  // them out (stably, once tombstones outnumber live entries). While the
+  // index is live, `slot_of_ref[ref]` is a representative's index slot,
+  // `pos_of_slot` maps a slot to its position in `order`, and `owners`
+  // finds every stored ref (representatives and coverees) by owner.
   struct SubStore {
     SubArena arena;                     // SoA storage of stored subs
-    std::vector<SubArena::Ref> order;   // live representative refs,
-                                        // insertion order (coverees live
-                                        // only in arena + covers)
+    std::vector<SubArena::Ref> order;   // representative refs, insertion
+                                        // order, kNullRef = tombstone
+                                        // (coverees live only in arena +
+                                        // covers)
     std::vector<MigratedBucket> buckets;
     SubIndex index;
     bool indexed = false;  // the zone matches through `index`
     bool pending = false;  // bulk scope open: `index` is stale until end_bulk
-    std::vector<std::uint32_t> slots;
-    std::vector<std::size_t> pos_of_slot;
+    std::uint32_t dead = 0;  // tombstones in `order`
+    std::vector<std::uint32_t> slot_of_ref;
+    std::vector<std::uint32_t> pos_of_slot;
+    OwnerTable owners;
     std::vector<std::uint32_t> cand;  // match()/find_coverer() scratch
     CoverSet covers;                  // quench bookkeeping (cover_ only)
     Point probe;                      // find_coverer() scratch point
 
     bool live_index() const noexcept { return indexed && !pending; }
+    std::size_t live_reps() const noexcept { return order.size() - dead; }
   };
 
   SubStore& store();  // find-or-create
@@ -286,6 +355,26 @@ class ZoneState {
   /// Re-home a coveree whose representative left: re-quench under the
   /// first surviving coverer or promote to representative.
   void rehome_coveree(SubStore& st, SubArena::Ref ref);
+  /// The entry remove_subscription drops for `owner`: its ref and, for a
+  /// representative, its position in order (kNullRef / npos if absent;
+  /// npos position for a quenched coveree).
+  std::pair<SubArena::Ref, std::size_t> find_owner(const SubStore& st,
+                                                   const SubId& owner) const;
+  /// Tombstone the representative at `pos` and drop it from the index and
+  /// owner table. Its arena entry stays for the caller to read and free.
+  void drop_representative(SubStore& st, std::size_t pos);
+  /// Drop a coveree: its cover relation (if still there), its owner-table
+  /// entry and its arena entry.
+  void release(SubStore& st, SubArena::Ref ref);
+  /// Squeeze tombstones out of order, keeping insertion order.
+  void compact(SubStore& st);
+  /// `gone` (projected) has left the contents that summary_ was the exact
+  /// hull of. A face of summary_ that `gone` did not attain cannot move; an
+  /// attained one keeps its place if something left still attains it (a
+  /// witness: parent piece, buckets, then representatives, first hit
+  /// wins). Only when some attained face has no witness is the summary
+  /// refolded from scratch.
+  void shrink_summary(std::span<const Interval> gone);
 
   ZoneAddr addr_;
   std::unique_ptr<SubStore> store_;  // null until a sub/bucket arrives

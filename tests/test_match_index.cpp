@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "chord/chord_net.hpp"
 #include "core/hypersub_system.hpp"
@@ -499,6 +501,317 @@ TEST(MatchIndexBuild, BulkSubscribeQuenchesLikeRoutedInstalls) {
   const auto routed_deliveries = deliver(routed);
   EXPECT_FALSE(routed_deliveries.empty());
   EXPECT_EQ(deliver(bulk), routed_deliveries);
+}
+
+// -- removal path vs a reference model ----------------------------------------
+
+// ZoneState's contract written out plainly: representatives in a vector in
+// insertion order, each with its coverees in quench order, and the summary
+// an exact hull folded on demand.
+class ReferenceZone {
+ public:
+  explicit ReferenceZone(bool cover) : cover_(cover) {}
+
+  void add(const StoredSub& s) {
+    if (cover_) {
+      if (Rep* r = coverer(s.sub.range())) {
+        r->coverees.push_back(s);
+        return;
+      }
+    }
+    reps_.push_back({s, {}});
+  }
+
+  std::optional<StoredSub> remove(const SubId& owner) {
+    for (std::size_t i = 0; i < reps_.size(); ++i) {
+      if (reps_[i].sub.owner != owner) continue;
+      Rep gone = std::move(reps_[i]);
+      reps_.erase(reps_.begin() + std::ptrdiff_t(i));
+      for (const StoredSub& o : gone.coverees) rehome(o);
+      return gone.sub;
+    }
+    for (Rep& r : reps_) {
+      for (std::size_t j = 0; j < r.coverees.size(); ++j) {
+        if (r.coverees[j].owner != owner) continue;
+        StoredSub out = r.coverees[j];
+        r.coverees.erase(r.coverees.begin() + std::ptrdiff_t(j));
+        return out;
+      }
+    }
+    return std::nullopt;
+  }
+
+  std::vector<StoredSub> extract(Id lo, Id hi) {
+    const auto leaves = [&](const StoredSub& s) {
+      return ring::in_closed_open(s.owner.target, lo, hi);
+    };
+    std::vector<StoredSub> out, leaving_coverees, orphans;
+    std::vector<Rep> kept;
+    for (Rep& r : reps_) {
+      std::vector<StoredSub> stay;
+      for (const StoredSub& c : r.coverees) {
+        if (leaves(c)) {
+          leaving_coverees.push_back(c);
+        } else {
+          stay.push_back(c);
+        }
+      }
+      if (leaves(r.sub)) {
+        out.push_back(r.sub);
+        orphans.insert(orphans.end(), stay.begin(), stay.end());
+      } else {
+        kept.push_back({r.sub, std::move(stay)});
+      }
+    }
+    reps_ = std::move(kept);
+    out.insert(out.end(), leaving_coverees.begin(), leaving_coverees.end());
+    for (const StoredSub& o : orphans) rehome(o);
+    return out;
+  }
+
+  void set_piece(const HyperRect& piece) { piece_ = piece; }
+  void add_bucket(const core::MigratedBucket& b) { buckets_.push_back(b); }
+
+  HyperRect hull() const {
+    HyperRect h;
+    for (const Rep& r : reps_) h = h.hull(r.sub.projected);
+    h = h.hull(piece_);
+    for (const auto& b : buckets_) h = h.hull(b.summary);
+    return h;
+  }
+
+  std::vector<SubId> match(const Point& full, const Point& projected) const {
+    std::vector<SubId> out;
+    for (const Rep& r : reps_) {
+      if (!r.sub.sub.matches(full)) continue;
+      out.push_back(r.sub.owner);
+      for (const StoredSub& c : r.coverees) {
+        if (c.sub.matches(full)) out.push_back(c.owner);
+      }
+    }
+    if (!piece_.empty() && piece_.contains(projected)) {
+      out.push_back(SubId{Id{42}, 0, SubIdKind::kZone});
+    }
+    for (const auto& b : buckets_) {
+      if (b.summary.contains(projected)) out.push_back(b.pointer);
+    }
+    return out;
+  }
+
+  std::vector<SubId> owners() const {
+    std::vector<SubId> out;
+    for (const Rep& r : reps_) {
+      out.push_back(r.sub.owner);
+      for (const StoredSub& c : r.coverees) out.push_back(c.owner);
+    }
+    return out;
+  }
+
+  std::size_t reps() const { return reps_.size(); }
+  std::size_t size() const {
+    std::size_t n = reps_.size();
+    for (const Rep& r : reps_) n += r.coverees.size();
+    return n;
+  }
+  /// Every stored subscription, representatives and coverees.
+  std::vector<StoredSub> all() const {
+    std::vector<StoredSub> out;
+    for (const Rep& r : reps_) {
+      out.push_back(r.sub);
+      out.insert(out.end(), r.coverees.begin(), r.coverees.end());
+    }
+    return out;
+  }
+
+ private:
+  struct Rep {
+    StoredSub sub;
+    std::vector<StoredSub> coverees;
+  };
+
+  Rep* coverer(const HyperRect& full) {
+    for (Rep& r : reps_) {
+      if (r.sub.sub.range().covers(full)) return &r;
+    }
+    return nullptr;
+  }
+  void rehome(const StoredSub& s) {
+    if (Rep* r = coverer(s.sub.range())) {
+      r->coverees.push_back(s);
+    } else {
+      reps_.push_back({s, {}});
+    }
+  }
+
+  bool cover_;
+  std::vector<Rep> reps_;
+  HyperRect piece_;
+  std::vector<core::MigratedBucket> buckets_;
+};
+
+// Random ZoneState churn against ReferenceZone. Coordinates sit on a coarse
+// grid and a third of the intervals are domain-bound wildcards, so many
+// subscriptions share each summary face; a lone extreme subscription is
+// also added and removed, so the last face-holder leaves too. After every
+// operation the zone must agree with the model: summary (maintained and
+// refolded), match() sequence, stored owners in order, and counts.
+TEST(RemovalPath, ChurnMatchesReferenceModel) {
+  constexpr double kMax = 100.0;
+  struct Case {
+    std::size_t threshold;
+    bool cover;
+  };
+  for (const Case c : {Case{kNever, false}, Case{kNever, true}, Case{0, false},
+                       Case{0, true}, Case{24, false}, Case{24, true}}) {
+    for (const std::uint64_t seed : {1ull, 2ull}) {
+      Rng rng(seed * 1000 + c.threshold % 97 + (c.cover ? 7 : 0));
+      auto zone =
+          std::make_unique<ZoneState>(ZoneAddr{}, c.threshold, c.cover);
+      ReferenceZone model(c.cover);
+      std::uint32_t next_iid = 0;
+      HyperRect piece;
+      std::size_t largest = 0;
+      const std::string where = "threshold " + std::to_string(c.threshold) +
+                                " cover " + std::to_string(c.cover) +
+                                " seed " + std::to_string(seed);
+
+      const auto grid = [&] { return 5.0 * double(rng.index(21)); };
+      const auto interval = [&](bool wide) {
+        if (wide || rng.chance(0.33)) {
+          // Domain-bound wildcard (or half-wildcard): shares faces.
+          const double a = rng.chance(0.5) ? 0.0 : grid();
+          const double b = rng.chance(0.5) ? kMax : grid();
+          return Interval{std::min(a, b), std::max(a, b)};
+        }
+        const double a = grid();
+        const double b = grid();
+        return Interval{std::min(a, b), std::max(a, b)};
+      };
+      const auto make = [&](bool wide) {
+        std::vector<Interval> full;
+        for (int d = 0; d < 3; ++d) full.push_back(interval(wide));
+        // The projection keeps the first two attributes, like a subscheme.
+        const HyperRect projected({full[0], full[1]});
+        const Id owner = rng.next_u64();
+        return StoredSub{SubId{owner, next_iid++, SubIdKind::kSubscriber},
+                         pubsub::Subscription(HyperRect(full)), projected};
+      };
+      const auto add = [&](const StoredSub& s) {
+        zone->add_subscription(s);
+        model.add(s);
+      };
+      const auto remove = [&](const SubId& owner) {
+        const auto got = zone->remove_subscription(owner);
+        const auto want = model.remove(owner);
+        ASSERT_EQ(got.has_value(), want.has_value()) << where;
+        if (want) {
+          EXPECT_EQ(got->owner, want->owner) << where;
+          EXPECT_EQ(got->projected, want->projected) << where;
+          EXPECT_EQ(got->sub.range(), want->sub.range()) << where;
+        }
+      };
+      const auto check = [&](int step) {
+        ASSERT_EQ(zone->summary(), zone->exact_summary())
+            << where << " step " << step;
+        ASSERT_EQ(zone->summary(), model.hull()) << where << " step " << step;
+        ASSERT_EQ(owners_of(*zone), model.owners())
+            << where << " step " << step;
+        ASSERT_EQ(zone->subscription_count(), model.size()) << where;
+        ASSERT_EQ(zone->cover_representatives(), model.reps()) << where;
+        for (int e = 0; e < 6; ++e) {
+          const Point full{grid(), grid(), grid()};
+          const Point projected{full[0], full[1]};
+          std::vector<SubId> got;
+          zone->match(full, projected, got);
+          ASSERT_EQ(got, model.match(full, projected))
+              << where << " step " << step << " event " << e;
+        }
+      };
+
+      for (int step = 0; step < 1500; ++step) {
+        const double op = rng.uniform(0.0, 1.0);
+        const auto stored = model.all();
+        if (op < 0.48 || stored.empty()) {
+          add(make(false));
+        } else if (op < 0.70) {
+          remove(stored[rng.index(stored.size())].owner);
+        } else if (op < 0.72) {
+          remove(SubId{rng.next_u64(), 0, SubIdKind::kSubscriber});  // absent
+        } else if (op < 0.74) {
+          // A second entry under an existing owner: removal must take the
+          // one the scan order reaches first.
+          StoredSub dup = make(false);
+          dup.owner = stored[rng.index(stored.size())].owner;
+          add(dup);
+        } else if (op < 0.78) {
+          // The last holder of a face leaves: one extreme subscription in,
+          // then out again.
+          StoredSub lone = make(false);
+          std::vector<Interval> full = lone.sub.range().dims();
+          full[0] = Interval{-1.0 - double(step), kMax + 1.0};
+          lone.sub = pubsub::Subscription(HyperRect(full));
+          lone.projected = HyperRect({full[0], full[1]});
+          add(lone);
+          check(step);
+          remove(lone.owner);
+        } else if (op < 0.88) {
+          // Parent piece: grow (covers the old one), replace or clear.
+          const double k = rng.uniform(0.0, 1.0);
+          if (k < 0.15) {
+            piece = HyperRect{};
+          } else if (k < 0.5 && !piece.empty()) {
+            piece = piece.hull(HyperRect({interval(false), interval(false)}));
+          } else {
+            piece = HyperRect({interval(false), interval(false)});
+          }
+          const HyperRect before = zone->summary();
+          const bool changed = zone->set_parent_piece(piece, Id{42});
+          model.set_piece(piece);
+          EXPECT_EQ(changed, !(zone->summary() == before)) << where;
+        } else if (op < 0.90) {
+          const core::MigratedBucket b{
+              HyperRect({interval(false), interval(false)}),
+              {},
+              SubId{rng.next_u64(), next_iid++, SubIdKind::kMigrated}};
+          zone->add_migrated_bucket(b);
+          model.add_bucket(b);
+        } else if (op < 0.92) {
+          const Id lo = rng.next_u64();
+          const Id hi = lo + (~Id{0} / 4);
+          const auto got = zone->extract_subscribers_in_arc(lo, hi);
+          const auto want = model.extract(lo, hi);
+          ASSERT_EQ(got.size(), want.size()) << where;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].owner, want[i].owner) << where;
+          }
+        } else if (op < 0.94) {
+          common::ByteWriter w;
+          zone->save(w);
+          const auto bytes = w.take();
+          auto copy =
+              std::make_unique<ZoneState>(ZoneAddr{}, c.threshold, c.cover);
+          common::ByteReader r(bytes);
+          copy->restore(r);
+          EXPECT_EQ(copy->fingerprint(), zone->fingerprint()) << where;
+          EXPECT_EQ(copy->index_active(), zone->index_active()) << where;
+          zone = std::move(copy);
+        } else if (op < 0.96) {
+          // Drain: remove a run of subscriptions back to back, which
+          // crosses the tombstone compaction point (and sometimes empties
+          // the zone).
+          for (std::size_t i = 0; i < stored.size(); ++i) {
+            if (rng.chance(0.7)) remove(stored[i].owner);
+          }
+        } else {
+          for (int i = 0; i < 20; ++i) add(make(false));
+        }
+        check(step);
+        largest = std::max(largest, model.size());
+      }
+      // The run reached zones well past the index threshold.
+      EXPECT_GT(largest, 100u) << where;
+    }
+  }
 }
 
 // -- end-to-end ---------------------------------------------------------------

@@ -9,6 +9,10 @@ Subcommands:
       (ns_per_event_scan / ns_per_event_indexed) is the quantity the index
       exists for, and it is far more stable across CI machines than
       absolute nanoseconds — both sides of the ratio move with the machine.
+      Also checks (self-relative) that one remove_subscription at 50k subs
+      per zone costs at most MAX_REMOVE_GROWTH (4) times one at 1k:
+      removal does not grow with the zone size, so the ratio stays flat on
+      any host, while the old O(n) removal grew ~45x over that range.
 
   route FRESH.json
       Validate a fresh micro_route run (self-relative — no cross-machine
@@ -74,6 +78,10 @@ import argparse
 import json
 import sys
 
+# Largest allowed ratio of ns per remove_subscription at 50k subs per zone
+# to ns at 1k (match subcommand).
+MAX_REMOVE_GROWTH = 4.0
+
 
 def load_json(path):
     with open(path) as f:
@@ -124,6 +132,20 @@ def cmd_match(args):
 
     if fresh_speedup < floor:
         print("FAIL: index speedup regressed beyond tolerance")
+        return 1
+
+    removes = {row.get("subs_per_zone"): row
+               for row in load_json(args.fresh).get("remove", [])}
+    small, large = removes.get(1000), removes.get(50000)
+    if small is None or large is None:
+        print("FAIL: fresh run has no remove sweep at 1000 and 50000 subs")
+        return 1
+    growth = large["ns_per_remove"] / small["ns_per_remove"]
+    print(f"remove_subscription: {small['ns_per_remove']:.0f} ns at 1000 "
+          f"subs, {large['ns_per_remove']:.0f} ns at 50000 subs "
+          f"({growth:.2f}x, cap {MAX_REMOVE_GROWTH:.2f}x)")
+    if growth > MAX_REMOVE_GROWTH:
+        print("FAIL: removal cost grows with the zone size")
         return 1
     print("OK")
     return 0
